@@ -25,9 +25,10 @@ from .counting import (additive_monomial_sums, count_progressions,
 from .decomposition import (budget_from_schedule, u2_threshold_decompose,
                             verify_decomposition)
 from .extremal import build_hypergraph, r_exact
-from .field import make_field
-from .functions import (dense_function, fourier_transform, indicator,
-                        random_one_bounded, two_var_function)
+from .field import is_prime, make_field
+from .functions import (_random_phase, _random_spike, character_function,
+                        dense_function, fourier_transform, random_one_bounded,
+                        two_var_function)
 from .gowers import check_cs_inequality, gowers_norm, gowers_u2_via_fourier
 from .polys import int_poly, progression_system
 from .rng import SplitMix64, derive_seed
@@ -49,17 +50,6 @@ class CriterionResult:
         tag = "PASS" if self.passed else "FAIL"
         return (f"{tag} criterion {self.index}: {self.name} "
                 f"({self.detail}) [{self.seconds:.1f}s]")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def _random_subset(rng: SplitMix64, q: int, density: float = 0.5):
@@ -120,7 +110,7 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     t0 = time.perf_counter()
-    primes = [p for p in range(5, 200) if _is_prime(p)]
+    primes = [p for p in range(5, 200) if is_prime(p)]
     checked = 0
     violations = 0
     worst_margin = -1.0
@@ -211,7 +201,6 @@ def _spec_41_check(q: int) -> float:
     f2 = random_one_bounded(F, rng.next_u64())
     P1, P2 = int_poly([0, 1]), int_poly([0, 0, 1])
     shifted = progression_system([P2 - P1], Q=[P1])
-    chi = F.character_matrix()
     # direct construction of g by its definition
     gv = np.zeros(q, dtype=np.complex128)
     for yi in range(q):
@@ -229,7 +218,7 @@ def _spec_41_check(q: int) -> float:
     ghat = fourier_transform(g).coeffs
     worst = 0.0
     for a in range(q):
-        psi = dense_function(F, chi[a].copy())
+        psi = character_function(F, a)
         lhs = ghat[a]
         rhs = lambda_average(shifted, [psi.conj() * f1, f2], [psi])
         worst = max(worst, abs(lhs - rhs))
@@ -322,7 +311,7 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     t0 = time.perf_counter()
     system = progression_system(["y", "y^2"])
-    primes = [p for p in range(31, 500) if _is_prime(p)]
+    primes = [p for p in range(31, 500) if is_prime(p)]
     cells = 0
     within = 0
     max_err = {}
@@ -390,27 +379,12 @@ def criterion_9() -> CriterionResult:
     F = make_field(q)
     bud = budget_from_schedule(delta_schedule(2, 1, 0.5), 2)
     rng = SplitMix64(derive_seed(MASTER_SEED, 9))
-    chi = F.character_matrix()
-
-    def phase_fn():
-        vals = np.exp(2j * np.pi *
-                      np.array([rng.random() for _ in range(q)]))
-        return dense_function(F, vals)
-
-    def spike_fn():
-        a = 1 + rng.randrange(q - 1)
-        eps = 0.01 + 0.03 * rng.random()
-        noise = np.exp(2j * np.pi *
-                       np.array([rng.random() for _ in range(q)]))
-        vals = chi[a] + eps * noise
-        return dense_function(F, vals / np.sqrt(np.mean(np.abs(vals) ** 2)))
-
     certified = 0
     pair_violations = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for trial in range(50):
-            f = spike_fn() if trial % 2 else phase_fn()
+            f = _random_spike(F, rng)[0] if trial % 2 else _random_phase(F, rng)
             res = u2_threshold_decompose(f, bud)
             if not res.certified:
                 continue

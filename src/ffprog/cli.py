@@ -42,20 +42,20 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .counting import base_case_report, count_progressions, lambda_average
+from .counting import (_weil_sweep, base_case_report, count_progressions,
+                       lambda_average)
 from .decomposition import (budget, budget_from_schedule,
                             u2_threshold_decompose, verify_decomposition)
 from .errors import FFProgError, ThresholdViolation
 from .extremal import build_hypergraph, r_exact, r_lower_random
-from .field import make_field
-from .functions import (balanced_indicator, dense_function, indicator,
-                        random_one_bounded, two_var_function)
+from .field import is_prime, make_field
+from .functions import (_random_phase, _random_spike, balanced_indicator,
+                        indicator, random_one_bounded, two_var_function)
 from .gowers import (check_cs_inequality, gowers_norm, gowers_u2_via_fourier,
                      u2_dual_upper_bound)
 from .polys import parse_poly, progression_system, render_poly
@@ -117,86 +117,72 @@ def _resolve_seed(args) -> int:
     return int.from_bytes(os.urandom(8), "big")
 
 
-def _parse_set(source: str, q: int, seed: int):
-    """Resolve a set source string to a sorted list of element indices."""
-    if source == "all":
-        return list(range(q)), {"source": "all"}
+def _parse_indices(source: str, values, q: int) -> list[int]:
+    try:
+        idx = sorted({int(v) for v in values})
+    except (TypeError, ValueError):
+        raise FFProgError(f"set indices in {source!r} must be integers") from None
+    if idx and not 0 <= idx[0] <= idx[-1] < q:
+        raise FFProgError(f"set indices out of range for q={q}")
+    return idx
+
+
+def _parse_set(source: str, field, seed: int):
+    """Resolve a set source string to the elements at the indices it names."""
+    q = field.q
     kind, _, rest = source.partition(":")
-    if kind == "random":
+    if source == "all":
+        idx, echo = list(range(q)), {"source": "all"}
+    elif kind == "random":
         density_s, _, seed_s = rest.partition(":")
-        density = float(density_s)
+        try:
+            density = float(density_s)
+        except ValueError:
+            raise FFProgError(f"bad density in set source {source!r}") from None
+        if not 0.0 <= density <= 1.0:
+            raise FFProgError(f"set density must lie in [0, 1], got {density_s}")
         if seed_s:
-            if not seed_s.startswith("seed"):
+            if not seed_s.startswith("seed") or not seed_s[4:].isdigit():
                 raise FFProgError(f"bad set source {source!r}")
             seed = int(seed_s[4:])
         rng = SplitMix64(derive_seed(seed, 0x5E7))
-        return sorted(rng.subset(q, density)), {
-            "source": "random", "density": density, "set_seed": seed}
-    if kind == "explicit":
-        idx = sorted({int(t) for t in rest.split(",") if t != ""})
-        if idx and not 0 <= idx[0] <= idx[-1] < q:
-            raise FFProgError(f"set indices out of range for q={q}")
-        return idx, {"source": "explicit"}
-    if kind == "file":
+        idx = sorted(rng.subset(q, density))
+        echo = {"source": "random", "density": density, "set_seed": seed}
+    elif kind == "explicit":
+        idx = _parse_indices(source, [t for t in rest.split(",") if t != ""], q)
+        echo = {"source": "explicit"}
+    elif kind == "file":
         with open(rest) as fh:
-            idx = sorted({int(v) for v in json.load(fh)})
-        if idx and not 0 <= idx[0] <= idx[-1] < q:
-            raise FFProgError(f"set indices out of range for q={q}")
-        return idx, {"source": "file", "path": rest}
-    raise FFProgError(f"unknown set source {source!r}")
+            try:
+                values = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FFProgError(f"{rest}: not a JSON array ({exc})") from None
+        idx = _parse_indices(source, values, q)
+        echo = {"source": "file", "path": rest}
+    else:
+        raise FFProgError(f"unknown set source {source!r}")
+    return [field.element_at(i) for i in idx], echo
 
 
 def _make_function(kind: str, field, set_source: str, seed: int):
     if kind in ("indicator", "balanced"):
-        idx, echo = _parse_set(set_source, field.q, seed)
+        A, echo = _parse_set(set_source, field, seed)
         fn = (indicator if kind == "indicator" else balanced_indicator)(
-            field, idx)
-        return fn, {"fn": kind, **echo, "set_size": len(idx)}
+            field, A)
+        return fn, {"fn": kind, **echo, "set_size": len(A)}
     rng = SplitMix64(derive_seed(seed, 0xF0))
     if kind == "disk":
         return random_one_bounded(field, rng), {"fn": "disk"}
     if kind == "phase":
-        vals = np.exp(2j * np.pi *
-                      np.array([rng.random() for _ in range(field.q)]))
-        return dense_function(field, vals), {"fn": "phase"}
+        return _random_phase(field, rng), {"fn": "phase"}
     if kind == "spike":
-        a = 1 + rng.randrange(field.q - 1)
-        eps = 0.01 + 0.03 * rng.random()
-        noise = np.exp(2j * np.pi *
-                       np.array([rng.random() for _ in range(field.q)]))
-        vals = field.character_matrix()[a] + eps * noise
-        vals = vals / np.sqrt(np.mean(np.abs(vals) ** 2))
-        return dense_function(field, vals), {"fn": "spike", "character": a}
+        f, a = _random_spike(field, rng)
+        return f, {"fn": "spike", "character": a}
     raise FFProgError(f"unknown function kind {kind!r}")
 
 
-def _jobs_default() -> int:
-    env = os.environ.get("FFPROG_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map, optionally across processes."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _primes(lo: int, hi: int):
-    out = []
-    for n in range(max(lo, 2), hi + 1):
-        i = 2
-        while i * i <= n:
-            if n % i == 0:
-                break
-            i += 1
-        else:
-            out.append(n)
-    return out
+def _primes(lo: int, hi: int) -> list[int]:
+    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
 
 
 def _fail_exit(ledger: Ledger, failures: list) -> int:
@@ -212,9 +198,9 @@ def _cmd_count(args) -> int:
     seed = _resolve_seed(args)
     field = make_field(args.p, args.k)
     system = progression_system([s.strip() for s in args.polys.split(",")])
-    idx, echo = _parse_set(args.set, field.q, seed)
-    n = len(idx)
-    count = count_progressions(system, idx, y_rule=args.y_rule, field=field)
+    A, echo = _parse_set(args.set, field, seed)
+    n = len(A)
+    count = count_progressions(system, A, y_rule=args.y_rule, field=field)
     q = field.q
     ys = q if args.y_rule == "all" else q - 1
     m1 = system.m1
@@ -249,21 +235,13 @@ def _cmd_norms(args) -> int:
     return 0
 
 
-def _weil_cell(cell):
-    p, coeffs = cell
+def _weil_cell(p: int, coeffs) -> dict:
     red = [c % p for c in coeffs]
     d = max((i for i, c in enumerate(red) if c), default=0)
     if d < 1:
         return {"p": p, "degree": d, "max_scaled": None, "bound": None,
                 "within": None, "note": "degenerate modulo p"}
-    y = np.arange(p, dtype=np.int64)
-    vals = np.zeros(p, dtype=np.int64)
-    for c in reversed(red):
-        vals = (vals * y + c) % p
-    counts = np.bincount(vals, minlength=p)
-    omega = np.exp(2j * np.pi * np.arange(p) / p)
-    phase = (np.arange(p)[:, None] * np.arange(p)[None, :]) % p
-    sums = (omega[phase] @ counts) / p
+    sums = _weil_sweep(p, red)
     max_scaled = float(np.abs(sums[1:]).max() * math.sqrt(p))
     return {"p": p, "degree": d, "max_scaled": max_scaled,
             "bound": float(d - 1),
@@ -273,8 +251,7 @@ def _weil_cell(cell):
 def _cmd_weil_scan(args) -> int:
     seed = _resolve_seed(args)
     poly = parse_poly(args.poly)
-    cells = [(p, poly.coeffs) for p in _primes(args.pmin, args.pmax)]
-    rows = _pmap(_weil_cell, cells, args.jobs)
+    rows = [_weil_cell(p, poly.coeffs) for p in _primes(args.pmin, args.pmax)]
     ledger = Ledger(args.out, args.csv, ["p", "max_scaled", "bound"])
     head = _envelope(args, seed, "weil-scan")
     failures = []
@@ -600,8 +577,6 @@ def _add_common(sp, seed=True, out=True):
                         help="JSON-lines output path ('-' = stdout)")
     sp.add_argument("--config", default=None,
                     help="JSON file of flag defaults (dashes as underscores)")
-    sp.add_argument("--jobs", type=int, default=_jobs_default(),
-                    help="worker processes for sweeps (env FFPROG_JOBS)")
 
 
 def build_parser() -> _Parser:

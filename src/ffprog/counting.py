@@ -67,7 +67,7 @@ from .errors import (
     InvalidRange,
     TwistedSystem,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _periodic, _shifted
 from .functions import DenseFunction, character_function, indicator
 from .polys import (
     DependenceWitness,
@@ -75,7 +75,6 @@ from .polys import (
     ProgressionSystem,
     characteristic_threshold,
     independence_certificate,
-    reduce_and_eval,
 )
 
 _WEIL_TOL = 1e-12
@@ -85,26 +84,22 @@ _WEIL_TOL = 1e-12
 # evaluation tables
 # --------------------------------------------------------------------------
 
+def _eval_rows(field: FieldSpec, coeff_rows) -> np.ndarray:
+    """Coefficient rows of P(y) for every y in enumeration order (Horner).
+
+    coeff_rows lists P's coefficients as coefficient rows, constant first.
+    """
+    y = field._coeff_matrix()
+    acc = np.zeros_like(y)
+    for c in reversed(coeff_rows):
+        acc = (field._mul_rows(acc, y) + c) % field.p
+    return acc
+
+
 def poly_index_table(poly: IntPoly, field: FieldSpec) -> np.ndarray:
     """Index of P(y) for every y in enumeration order (int64)."""
-    q = field.q
-    if field.k == 1:
-        acc = np.zeros(q, dtype=np.int64)
-        y = np.arange(q, dtype=np.int64)
-        for c in reversed(poly.coeffs):
-            acc = (acc * y + c) % field.p
-        return acc
-    return np.array(
-        [reduce_and_eval(poly, field, e).index for e in field.elements()],
-        dtype=np.int64,
-    )
-
-
-def _shifted(field: FieldSpec, values: np.ndarray, shift_idx: int) -> np.ndarray:
-    """x -> values[x + e], where e is the element at shift_idx."""
-    if field.k == 1:
-        return np.roll(values, -shift_idx)
-    return values[field.add_index_table()[shift_idx]]
+    rows = [field.element(c).coeffs for c in poly.coeffs]
+    return _eval_rows(field, rows) @ field._place_values()
 
 
 def _lambda_raw(field: FieldSpec, P, F_values, Q, G_values) -> complex:
@@ -116,12 +111,13 @@ def _lambda_raw(field: FieldSpec, P, F_values, Q, G_values) -> complex:
     q = field.q
     p_tables = [poly_index_table(p, field) for p in P]
     q_tables = [poly_index_table(s, field) for s in Q]
-    f0 = F_values[0]
+    f0 = F_values[0].reshape((field.p,) * field.k)
+    exts = [_periodic(field, fv) for fv in F_values[1:]]
     acc = 0.0 + 0.0j
     for yi in range(q):
         prod = f0
-        for tbl, fv in zip(p_tables, F_values[1:]):
-            prod = prod * _shifted(field, fv, int(tbl[yi]))
+        for tbl, ext in zip(p_tables, exts):
+            prod = prod * _shifted(field, ext, int(tbl[yi]))
         term = prod.sum()
         for tbl, gv in zip(q_tables, G_values):
             term = term * gv[int(tbl[yi])]
@@ -210,13 +206,15 @@ def count_progressions(system: ProgressionSystem, A, y_rule: str = "all",
         raise InvalidRange(f"y_rule must be 'all' or 'nonzero', got {y_rule!r}")
     field = _resolve_field(A, field)
     ind = _indicator_vector(field, A, np.int64)
+    ext = _periodic(field, ind)
+    ind = ind.reshape((field.p,) * field.k)
     tables = [poly_index_table(p, field) for p in system.P]
     total = 0
     start = 1 if y_rule == "nonzero" else 0
     for yi in range(start, field.q):
         prod = ind
         for tbl in tables:
-            prod = prod * _shifted(field, ind, int(tbl[yi]))
+            prod = prod * _shifted(field, ext, int(tbl[yi]))
         total += int(prod.sum())
     return total
 
@@ -442,22 +440,8 @@ def weil_sum(field: FieldSpec, polys, coefficients) -> WeilSum:
         raise DegenerateCombination(
             "combination collapsed to a constant; no cancellation to measure")
 
-    omega = field.omega_powers()
-    if field.k == 1:
-        y = np.arange(field.q, dtype=np.int64)
-        acc = np.zeros(field.q, dtype=np.int64)
-        for c in reversed(combined):
-            acc = (acc * y + c.coeffs[0]) % field.p
-        value = complex(omega[acc].mean())
-    else:
-        trvec = field.trace_vector()
-        total = 0j
-        for y in field.elements():
-            val = field.zero
-            for c in reversed(combined):
-                val = val * y + c
-            total += omega[trvec[val.index]]
-        value = complex(total / field.q)
+    values = _eval_rows(field, [c.coeffs for c in combined]) @ field._place_values()
+    value = complex(field.omega_powers()[field.trace_vector()[values]].mean())
     bound = (degree - 1) / field.q ** 0.5
     return WeilSum(value, degree, bound, abs(value) <= bound + _WEIL_TOL,
                    False)
@@ -471,12 +455,17 @@ def additive_monomial_sums(p: int, d: int) -> np.ndarray:
     """
     if d < 1:
         raise InvalidRange(f"monomial degree must be >= 1, got {d}")
+    return _weil_sweep(p, [0] * d + [1])
+
+
+def _weil_sweep(p: int, coeffs) -> np.ndarray:
+    """E_y e_p(a P(y)) for every a in F_p, P given by integer coefficients.
+
+    With n_j = #{y : P(y) = j}, the sums are (1/p) sum_j n_j e_p(a j): one
+    inverse DFT of the value histogram.
+    """
     y = np.arange(p, dtype=np.int64)
-    u = np.ones(p, dtype=np.int64)
-    for _ in range(d):
-        u = (u * y) % p
-    counts = np.bincount(u, minlength=p)
-    omega = np.exp(2j * np.pi * np.arange(p) / p)
-    a = np.arange(p, dtype=np.int64)
-    phase = (a[:, None] * np.arange(p)[None, :]) % p
-    return (omega[phase] @ counts) / p
+    vals = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        vals = (vals * y + c % p) % p
+    return np.fft.ifft(np.bincount(vals, minlength=p))

@@ -46,7 +46,8 @@ from .errors import (
     ShapeMismatch,
     ThresholdViolation,
 )
-from .functions import DenseFunction, fourier_transform, inverse_fourier, lp_norm
+from .functions import (DenseFunction, FourierCoefficients, fourier_transform,
+                        inverse_fourier, lp_norm)
 from .gowers import gowers_norm, u2_dual_upper_bound
 from .schedule import BudgetCheck, ScheduleParams, budget_condition
 
@@ -243,7 +244,6 @@ def u2_threshold_decompose(f: DenseFunction,
 
     coeffs = fourier_transform(f).coeffs
     mags = np.abs(coeffs)
-    chi = field.character_matrix()
 
     best_fail = None  # (violations, worst_ratio, result)
     best_cert = None
@@ -252,9 +252,8 @@ def u2_threshold_decompose(f: DenseFunction,
         keep = mags >= tau
         kept = np.where(keep, coeffs, 0.0)
         rest = coeffs - kept
-        fa_vals = chi.T @ kept   # chi symmetric; inverse transform of kept
-        fc_vals = f.values - fa_vals
-        fa = DenseFunction(field, fa_vals)
+        fa = inverse_fourier(FourierCoefficients(field, kept))
+        fc_vals = f.values - fa.values
         fb = DenseFunction(field, np.zeros(q, dtype=np.complex128))
         fc = DenseFunction(field, fc_vals)
         certs = Certificates(

@@ -40,7 +40,7 @@ import numpy as np
 
 from .counting import poly_index_table
 from .errors import InsufficientData, InvalidRange, TwistedSystem
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _periodic, _shifted
 from .polys import ProgressionSystem
 
 _BITSET_LIMIT = 512
@@ -75,19 +75,13 @@ def build_hypergraph(system: ProgressionSystem, field: FieldSpec,
     full_size = system.m1 + 1
     seen: set[tuple[int, ...]] = set()
     start = 1 if y_rule == "nonzero" else 0
+    index = np.arange(q, dtype=np.int64)
+    ext = _periodic(field, index)   # window at e: x -> index of x + e
     for yi in range(start, q):
-        shifts = [int(t[yi]) for t in tables]
-        if field.k == 1:
-            for x in range(q):
-                edge = {x}
-                edge.update((x + s) % q for s in shifts)
-                seen.add(tuple(sorted(edge)))
-        else:
-            add = field.add_index_table()
-            for x in range(q):
-                edge = {x}
-                edge.update(int(add[x, s]) for s in shifts)
-                seen.add(tuple(sorted(edge)))
+        points = [index] + [_shifted(field, ext, int(t[yi])).reshape(q)
+                            for t in tables]
+        for row in np.sort(np.stack(points, axis=1), axis=1).tolist():
+            seen.add(tuple(dict.fromkeys(row)))   # sorted, duplicates dropped
     if degeneracy == "distinct_points":
         seen = {e for e in seen if len(e) == full_size}
     edges = tuple(sorted(seen, key=lambda e: (len(e), e)))

@@ -13,12 +13,20 @@ Tr(a) = a + a^p + ... + a^{p^{k-1}} (an F_p scalar), and the additive
 characters are psi_a(x) = exp(2 pi i Tr(a x) / p), indexed by a in
 enumeration order; psi_0 is the trivial character.
 
+Array model.  Two cached facts serve every k alike: the q x k coefficient
+matrix C in enumeration order, and the k x k trace form
+T[i, j] = Tr(t^(i+j)), so that Tr(a x) = c_a T c_x mod p by linearity.
+The trace vector is (C T[0]) mod p, the character matrix is
+omega[(C T mod p) C^T mod p], and polynomials are evaluated on all of C at
+once by Horner with a row-wise product reduced by the modulus.
+Translation x -> f(x + e) views a value array on (p,)*k, one axis per
+coefficient: _periodic wraps those axes out to 2p - 1 entries once, and
+_shifted returns the window starting at e's coefficients, as a view.
+
 Everything here is exact integer arithmetic; floating point enters only in
-the character values themselves.  Dense numpy lookup tables (coefficient
-matrix, trace vector, full addition table, character matrix) are built
-lazily and cached on the field object -- they are what the counting and
-Fourier kernels index into, and they are only sensible at desk scale
-(q at most a few thousand).
+the character values themselves.  The q x q tables (addition table,
+character matrix) are built lazily, cached on the field object and capped
+at q <= 4096; counting and translation need neither.
 
 Errors raised here: NotPrime, ReducibleModulus, DegreeMismatch,
 DivisionByZero, FieldMismatch, InvalidRange.
@@ -170,8 +178,6 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over F_p."""
-    if k == 1:
-        return (0, 1)
     for tail in product(range(p), repeat=k):
         cand = tuple(tail) + (1,)
         if _is_irreducible(cand, p):
@@ -248,9 +254,8 @@ class FieldSpec:
 
     def _coeff_matrix(self) -> np.ndarray:
         if "coeff" not in self._cache:
-            self._cache["coeff"] = np.array(
-                list(product(range(self.p), repeat=self.k)), dtype=np.int64
-            )
+            idx = np.arange(self.q, dtype=np.int64)[:, None]
+            self._cache["coeff"] = idx // self._place_values() % self.p
         return self._cache["coeff"]
 
     def _place_values(self) -> np.ndarray:
@@ -260,15 +265,42 @@ class FieldSpec:
             )
         return self._cache["place"]
 
+    def _power_rows(self) -> np.ndarray:
+        """Row m holds the coefficients of t^m mod the modulus, m < 2k - 1."""
+        if "powers" not in self._cache:
+            self._cache["powers"] = np.array(
+                [self._reduce([0] * m + [1]) for m in range(2 * self.k - 1)],
+                dtype=np.int64)
+        return self._cache["powers"]
+
+    def _trace_form(self) -> np.ndarray:
+        """k x k matrix T[i, j] = Tr(t^(i+j)), so Tr(a x) = c_a T c_x mod p."""
+        if "form" not in self._cache:
+            traces = np.array([trace(self, self.element(row))
+                               for row in self._power_rows()], dtype=np.int64)
+            i = np.arange(self.k)
+            self._cache["form"] = traces[i[:, None] + i[None, :]]
+        return self._cache["form"]
+
+    def _trace_rows(self, index) -> np.ndarray:
+        """Tr(a x) for the elements a at index (a list or slice) and every x."""
+        a = self._coeff_matrix()[index]
+        out = (a @ self._trace_form()) % self.p @ self._coeff_matrix().T
+        out %= self.p
+        return out
+
+    def _mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row-wise products of coefficient rows, reduced by the modulus."""
+        k = self.k
+        raw = np.zeros(a.shape[:-1] + (2 * k - 1,), dtype=np.int64)
+        for i in range(k):
+            raw[..., i:i + k] += a[..., i:i + 1] * b
+        return (raw % self.p) @ self._power_rows() % self.p
+
     def trace_vector(self) -> np.ndarray:
         """Tr(e) for every element e in enumeration order (int64)."""
         if "trace" not in self._cache:
-            if self.k == 1:
-                vec = np.arange(self.q, dtype=np.int64)
-            else:
-                vec = np.array([trace(self, e) for e in self.elements()],
-                               dtype=np.int64)
-            self._cache["trace"] = vec
+            self._cache["trace"] = self._trace_rows([self.one.index])[0]
         return self._cache["trace"]
 
     def omega_powers(self) -> np.ndarray:
@@ -283,25 +315,16 @@ class FieldSpec:
         if "add" not in self._cache:
             if self.q > _TABLE_LIMIT:
                 raise InvalidRange(f"addition table capped at q <= {_TABLE_LIMIT}")
-            if self.k == 1:
-                idx = np.arange(self.q, dtype=np.int64)
-                table = (idx[:, None] + idx[None, :]) % self.p
-            else:
-                c = self._coeff_matrix()
-                sums = (c[:, None, :] + c[None, :, :]) % self.p
-                table = sums @ self._place_values()
-            self._cache["add"] = table
+            c = self._coeff_matrix()
+            sums = (c[:, None, :] + c[None, :, :]) % self.p
+            self._cache["add"] = sums @ self._place_values()
         return self._cache["add"]
 
     def neg_perm(self) -> np.ndarray:
         """Permutation sending index of x to index of -x."""
         if "neg" not in self._cache:
-            if self.k == 1:
-                idx = np.arange(self.q, dtype=np.int64)
-                self._cache["neg"] = (-idx) % self.p
-            else:
-                c = self._coeff_matrix()
-                self._cache["neg"] = ((-c) % self.p) @ self._place_values()
+            c = self._coeff_matrix()
+            self._cache["neg"] = ((-c) % self.p) @ self._place_values()
         return self._cache["neg"]
 
     def character_matrix(self) -> np.ndarray:
@@ -309,17 +332,7 @@ class FieldSpec:
         if "chi" not in self._cache:
             if self.q > _TABLE_LIMIT:
                 raise InvalidRange(f"character matrix capped at q <= {_TABLE_LIMIT}")
-            omega = self.omega_powers()
-            if self.k == 1:
-                idx = np.arange(self.q, dtype=np.int64)
-                self._cache["chi"] = omega[(idx[:, None] * idx[None, :]) % self.p]
-            else:
-                els = self.elements()
-                tr = np.empty((self.q, self.q), dtype=np.int64)
-                for i, a in enumerate(els):
-                    # Tr(a x) = Tr(x a); fill one row at a time
-                    tr[i] = [trace(self, a * x) for x in els]
-                self._cache["chi"] = omega[tr]
+            self._cache["chi"] = self.omega_powers()[self._trace_rows(slice(None))]
         return self._cache["chi"]
 
     def __repr__(self) -> str:  # compact, modulus only when it matters
@@ -394,6 +407,39 @@ class FieldElement:
             base = base * base
             e >>= 1
         return result
+
+
+# --------------------------------------------------------------------------
+# translation: x -> f(x + e) as a window of the periodic extension
+# --------------------------------------------------------------------------
+
+def _periodic(field: FieldSpec, values: np.ndarray) -> np.ndarray:
+    """Periodic extension of values over its leading k axes.
+
+    The first axis (length q) is viewed as (p,)*k, one axis per coefficient,
+    and each of those axes is wrapped out to 2p - 1 entries; trailing axes
+    (the second variable of a q x q array) ride along.
+    """
+    p, k = field.p, field.k
+    ext = values.reshape((p,) * k + values.shape[1:])
+    for axis in range(k):
+        head = ext[(slice(None),) * axis + (slice(0, p - 1),)]
+        ext = np.concatenate([ext, head], axis=axis)
+    return ext
+
+
+def _shifted(field: FieldSpec, ext: np.ndarray, index: int) -> np.ndarray:
+    """x -> f(x + e) for e at index, as the view of ext at e's coefficients.
+
+    ext comes from _periodic.  The view has shape (p,)*k plus ext's
+    trailing axes; reshape it to (q, ...) for a flat array.
+    """
+    p = field.p
+    starts = []
+    for _ in range(field.k):  # coefficients of e, last one first
+        index, c = divmod(index, p)
+        starts.append(slice(c, c + p))
+    return ext[tuple(reversed(starts))]
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 A DenseFunction stores one complex128 value per field element, indexed in
 the field's enumeration order; a TwoVarFunction stores a q x q array with
-the first variable as the row index.  On top of these live the analytic
-primitives everything else uses: normalized Fourier coefficients with
-respect to the additive characters,
+the first variable as the row index.  Enumeration order is C order over
+coefficient vectors, so the same vector viewed on shape (p,)*k has one
+axis per coefficient, on prime and extension fields alike.  Translation
+x -> f(x + e) is one helper pair from field.py for every k: _periodic wraps
+those axes out to 2p - 1 entries once, and _shifted returns the window that
+starts at e's coefficients.  On top of these live the analytic primitives
+everything else uses: normalized Fourier coefficients with respect to the
+additive characters,
 
     fhat(a) = E_x f(x) conj(psi_a(x)),      f(x) = sum_a fhat(a) psi_a(x),
 
@@ -14,9 +19,9 @@ functions), L^p norms with respect to normalized counting measure, and the
 normalized inner product <f, g> = E_x f(x) conj(g(x)).
 
 The Fourier transform is the direct O(q^2) contraction against the cached
-character matrix -- exactness and auditability at desk scale are worth more
-here than an FFT, and extension fields come for free.  Parseval then reads
-sum_a |fhat(a)|^2 = E_x |f(x)|^2 exactly (to rounding).
+character matrix, which field.py builds from the trace form for every k --
+exactness and auditability at desk scale are worth more here than an FFT.
+Parseval then reads sum_a |fhat(a)|^2 = E_x |f(x)|^2 exactly (to rounding).
 
 Errors raised here: ShapeMismatch, FieldMismatch, ElementOutOfField,
 InvalidExponent.
@@ -34,7 +39,7 @@ from .errors import (
     InvalidExponent,
     ShapeMismatch,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _periodic, _shifted
 from .rng import SplitMix64
 
 
@@ -98,11 +103,9 @@ class DenseFunction:
 
     def shift(self, h) -> "DenseFunction":
         """x -> f(x + h)."""
-        idx = _as_index(self.field, h)
-        if self.field.k == 1:
-            return DenseFunction(self.field, np.roll(self.values, -idx))
-        perm = self.field.add_index_table()[idx]
-        return DenseFunction(self.field, self.values[perm])
+        field = self.field
+        window = _shifted(field, _periodic(field, self.values), _as_index(field, h))
+        return DenseFunction(field, window.reshape(field.q))
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
@@ -138,8 +141,8 @@ def balanced_indicator(field: FieldSpec, subset) -> DenseFunction:
 
 def character_function(field: FieldSpec, a) -> DenseFunction:
     """psi_a as a dense function (a: FieldElement or enumeration index)."""
-    idx = _as_index(field, a)
-    return DenseFunction(field, field.character_matrix()[idx])
+    row = field._trace_rows([_as_index(field, a)])[0]
+    return DenseFunction(field, field.omega_powers()[row])
 
 
 def random_one_bounded(field: FieldSpec, rng) -> DenseFunction:
@@ -151,6 +154,24 @@ def random_one_bounded(field: FieldSpec, rng) -> DenseFunction:
         rng = SplitMix64(rng)
     return DenseFunction(
         field, np.array([rng.unit_disk() for _ in range(field.q)]))
+
+
+def _random_phase(field: FieldSpec, rng: SplitMix64) -> DenseFunction:
+    """x -> exp(2 pi i u_x), one uniform draw u_x per point in order."""
+    u = np.array([rng.random() for _ in range(field.q)])
+    return DenseFunction(field, np.exp(2j * np.pi * u))
+
+
+def _random_spike(field: FieldSpec, rng: SplitMix64) -> tuple[DenseFunction, int]:
+    """A nontrivial character psi_a plus 1-4% phase noise, L^2-normalized.
+
+    Draws a, then the noise level, then the noise phases; returns (f, a).
+    """
+    a = 1 + rng.randrange(field.q - 1)
+    eps = 0.01 + 0.03 * rng.random()
+    noise = _random_phase(field, rng).values
+    vals = character_function(field, a).values + eps * noise
+    return DenseFunction(field, vals / np.sqrt(np.mean(np.abs(vals) ** 2))), a
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +196,9 @@ class FourierCoefficients:
 def fourier_transform(f: DenseFunction) -> FourierCoefficients:
     """fhat(a) = E_x f(x) conj(psi_a(x)); direct contraction, no FFT."""
     chi = f.field.character_matrix()
-    return FourierCoefficients(f.field, (chi.conj() @ f.values) / f.field.q)
+    # conj(chi @ conj(f)) is conj(chi) @ f without a q x q conjugated copy
+    fhat = np.conj(chi @ np.conj(f.values)) / f.field.q
+    return FourierCoefficients(f.field, fhat)
 
 
 def inverse_fourier(coeffs: FourierCoefficients) -> DenseFunction:
@@ -229,12 +252,8 @@ def delta_first_var(F: TwoVarFunction, hs) -> TwoVarFunction:
     field = F.field
     out = F.values
     for h in hs:
-        idx = _as_index(field, h)
-        if field.k == 1:
-            shifted = np.roll(out, -idx, axis=0)
-        else:
-            shifted = out[field.add_index_table()[idx]]
-        out = shifted * np.conj(out)
+        window = _shifted(field, _periodic(field, out), _as_index(field, h))
+        out = window.reshape(out.shape) * np.conj(out)
     return TwoVarFunction(field, out)
 
 

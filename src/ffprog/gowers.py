@@ -70,9 +70,6 @@ class GowersNormValue:
 
 def _shift_rows(field: FieldSpec, values: np.ndarray) -> np.ndarray:
     """Matrix M with M[h] = (x -> values[x + h]); needs the addition table."""
-    if field.k == 1:
-        idx = np.arange(field.q)
-        return values[(idx[:, None] + idx[None, :]) % field.q]
     return values[field.add_index_table()]
 
 

@@ -45,7 +45,7 @@ from .errors import (
     PolySyntaxError,
     ZeroPolynomial,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _prime_factors
 
 
 # --------------------------------------------------------------------------
@@ -340,18 +340,6 @@ def _dependence(polys: list[IntPoly]) -> tuple[int, ...]:
     return witness
 
 
-def _largest_prime_factor(n: int) -> int:
-    n = abs(n)
-    best = 1
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            best = f
-            n //= f
-        f += 1
-    return max(best, n) if n > 1 else best
-
-
 def characteristic_threshold(cert) -> int:
     """Smallest safe characteristic implied by a certificate.
 
@@ -364,7 +352,7 @@ def characteristic_threshold(cert) -> int:
     if not isinstance(cert, IndependenceCertificate):
         raise DependentSystem("no certificate: system is dependent")
     c = abs(cert.determinant)
-    return 2 if c == 1 else 1 + _largest_prime_factor(c)
+    return 2 if c == 1 else 1 + max(_prime_factors(c))
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 import pytest
 
 from ffprog import __version__
-from ffprog.cli import build_parser, main
+from ffprog.cli import main
 from ffprog.errors import BudgetConditionWarning
 from ffprog.rng import derive_seed
 
@@ -147,6 +147,18 @@ def test_count_file_set_source(tmp_path):
     assert rec["main_term"] == pytest.approx(9.0)
 
 
+def test_count_set_indices_are_elements_on_extension_fields(tmp_path):
+    # indices name elements in enumeration order, not F_p constants: the
+    # elements at 0, 7, 13, 24 of GF(25) hold 4 progressions (x, x+y, x+y^2),
+    # the constants {0, 2, 3, 4} would hold 13
+    rc, recs = run_cli(tmp_path, "count", "--p", "5", "--k", "2",
+                       "--polys", "y,y^2", "--set", "explicit:0,7,13,24",
+                       "--seed", "1")
+    assert rc == 0
+    assert recs[0]["set_size"] == 4
+    assert recs[0]["count"] == 4
+
+
 def test_count_set_seed_overrides_run_seed(tmp_path):
     # random:DENSITY:seedN pins the subset, so the run seed only changes
     # the envelope, never the data.
@@ -217,7 +229,7 @@ def test_norms_spike_echoes_its_character(tmp_path):
 def test_weil_scan_rows_and_csv(tmp_path):
     csv_path = tmp_path / "scan.csv"
     rc, recs = run_cli(tmp_path, "weil-scan", "--poly", "y^3",
-                       "--pmin", "5", "--pmax", "13", "--jobs", "1",
+                       "--pmin", "5", "--pmax", "13",
                        "--seed", "2", "--csv", str(csv_path))
     assert rc == 0
     assert [r["p"] for r in recs] == [5, 7, 11, 13]
@@ -230,19 +242,6 @@ def test_weil_scan_rows_and_csv(tmp_path):
     assert lines[0] == "p,max_scaled,bound"
     assert len(lines) == 5
     assert lines[1].split(",")[0] == "5"
-
-
-def test_weil_scan_parallel_matches_serial(tmp_path):
-    rc1, recs1 = run_cli(tmp_path, "weil-scan", "--poly", "y^4", "--pmin", "5",
-                         "--pmax", "19", "--jobs", "1", "--seed", "2",
-                         name="serial.jsonl")
-    rc2, recs2 = run_cli(tmp_path, "weil-scan", "--poly", "y^4", "--pmin", "5",
-                         "--pmax", "19", "--jobs", "2", "--seed", "2",
-                         name="parallel.jsonl")
-    assert rc1 == rc2 == 0
-    strip = lambda recs: [{k: v for k, v in scrub(r).items()
-                           if k != "config"} for r in recs]
-    assert strip(recs1) == strip(recs2)
 
 
 # --------------------------------------------------------------------------
@@ -491,6 +490,10 @@ def test_cs_check_reruns_are_identical(tmp_path):
     ["weil-scan"],                                          # missing --poly
     ["nonsense"],                                           # unknown command
     [],                                                     # no command
+    ["count", "--p", "7", "--polys", "y", "--set", "random:1.5"],
+    ["count", "--p", "7", "--polys", "y", "--set", "random:-1"],
+    ["count", "--p", "7", "--polys", "y", "--set", "random:abc"],
+    ["count", "--p", "7", "--polys", "y", "--set", "explicit:1,x"],
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path / "x.jsonl")]
@@ -538,8 +541,3 @@ def test_subcommand_help_exits_0(capsys):
     assert rc == 0
     assert "usage" in capsys.readouterr().out
 
-
-def test_jobs_default_honors_environment(monkeypatch):
-    monkeypatch.setenv("FFPROG_JOBS", "3")
-    args = build_parser().parse_args(["count", "--p", "7", "--polys", "y"])
-    assert args.jobs == 3

@@ -377,7 +377,29 @@ def test_additive_monomial_sums_match_weil_sum():
 
 def test_poly_index_table_matches_eval():
     poly = parse_poly("2y^3 + y")
-    for field in (make_field(7), make_field(3, 2)):
+    for field in (make_field(7), make_field(3, 2), make_field(2, 6),
+                  make_field(5, 3)):
         tbl = poly_index_table(poly, field)
         for y in field.elements():
             assert tbl[y.index] == reduce_and_eval(poly, field, y).index
+
+
+def test_count_above_the_table_cap_matches_element_brute_force():
+    # q = 8192 is above the 4096 cap on the q x q tables; counting needs
+    # none of them.  A holds two planted (x, x + y, x + y^2) progressions.
+    F = make_field(2, 13)
+    rng = SplitMix64(2113)
+    els = [F.element_at(rng.randrange(F.q)) for _ in range(6)]
+    x0, y0, x1, y1 = els[:4]
+    A = sorted({x0, x0 + y0, x0 + y0 * y0, x1, x1 + y1, x1 + y1 * y1, *els[4:]},
+               key=lambda e: e.index)
+    members = set(A)
+    want = 0
+    for y in F.elements():
+        y2 = y * y
+        want += sum(x + y in members and x + y2 in members for x in A)
+    assert want >= len(A) + 2
+    system = progression_system(["y", "y^2"])
+    assert count_progressions(system, A, field=F) == want
+    scaled = main_term_error(system, A, field=F).scaled_count
+    assert abs(scaled - want) < 1e-6

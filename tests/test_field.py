@@ -13,8 +13,8 @@ import pytest
 
 from ffprog.errors import (DegreeMismatch, DivisionByZero, FieldMismatch,
                            InvalidRange, NotPrime, ReducibleModulus)
-from ffprog.field import (FieldSpec, character_eval, enumerate_elements,
-                          field_arith, make_field, trace)
+from ffprog.field import (FieldSpec, _periodic, _shifted, character_eval,
+                          enumerate_elements, field_arith, make_field, trace)
 from ffprog.rng import SplitMix64
 
 FIELDS = [make_field(2), make_field(7), make_field(2, 3), make_field(3, 2),
@@ -186,6 +186,34 @@ def test_character_eval_matches_matrix():
     for a in F.elements():
         for x in F.elements():
             assert abs(character_eval(F, a, x) - chi[a.index, x.index]) < 1e-12
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (3, 4), (5, 3)])
+def test_trace_form_character_matrix_matches_character_eval(p, k):
+    # the table comes from the k x k trace form; the oracle multiplies each
+    # pair and sums the Frobenius orbit of the product
+    F = make_field(p, k)
+    els = F.elements()
+    want = np.array([[character_eval(F, a, x) for x in els] for a in els])
+    assert np.max(np.abs(F.character_matrix() - want)) < 1e-12
+    assert list(F.trace_vector()) == [trace(F, x) for x in els]
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (2, 6)])
+def test_window_translation_matches_element_addition(p, k):
+    F = make_field(p, k)
+    q = F.q
+    els = F.elements()
+    rng = SplitMix64(p * 100 + k)
+    values = np.array([rng.random() for _ in range(q)])
+    rows = np.array([rng.random() for _ in range(q * q)]).reshape(q, q)
+    ext, ext_rows = _periodic(F, values), _periodic(F, rows)
+    for e in els:
+        perm = [(x + e).index for x in els]
+        assert np.array_equal(_shifted(F, ext, e.index).reshape(q), values[perm])
+        # q x q arrays translate in the first variable only
+        assert np.array_equal(_shifted(F, ext_rows, e.index).reshape(q, q),
+                              rows[perm])
 
 
 def test_field_arith_dispatcher():
