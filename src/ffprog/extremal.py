@@ -16,13 +16,23 @@ P_i(y) = P_j(y) or P_i(y) = 0 at small characteristic):
 * distinct_points: only full-size edges (m+1 distinct points) are kept.
 
 r_exact runs an exact branch-and-bound maximum-independent-set search over
-bitmask sets: vertices are considered in ascending index order, a greedy
-pass seeds the incumbent, the cardinality bound prunes, and unit
-propagation removes vertices that would complete an almost-full edge.  The
-search is deterministic -- identical inputs give identical witnesses --
+bitmask sets, on an explicit stack rather than by recursion: vertices are
+considered in ascending index order, a greedy pass seeds the incumbent, the
+cardinality bound prunes, and unit propagation removes vertices that would
+complete an almost-full edge.  The hypergraph is invariant under
+x -> x + c, so the unusable vertices are all or none, and a largest
+progression-free set S can be translated by -s (s in S) to one containing
+0.  When the edge set passes that invariance check and vertex 0 is usable,
+the search therefore fixes 0 in the set at the root and never explores the
+branch without it; witnesses of such hypergraphs contain vertex 0.  A
+hypergraph that fails the check (hand-built ones may) gets the full search.
+The search is deterministic -- identical inputs give identical witnesses --
 and a node budget turns the result into a best-found lower bound
 (exact = False) instead of ever raising.  r_lower_random is the randomized
 greedy companion (best of `iters` shuffled insertion passes, seeded).
+
+Background for the symmetry break: Crawford, Ginsberg, Luks & Roy,
+"Symmetry-breaking predicates for search problems", KR 1996.
 
 gamma_fit estimates the exponent gamma in r ~ q^(1-gamma) by least squares
 on log r against log q over exact results; it reports a standard error and
@@ -106,15 +116,20 @@ class ExtremalResult:
         return tuple(e.index for e in self.witness)
 
 
+def _mask(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
 def _edge_masks(hg: ProgressionHypergraph):
     """Bitmask edges, unusable-vertex mask, per-vertex incidence lists."""
     q = hg.q
     singles = 0
     masks = []
     for e in hg.edges:
-        m = 0
-        for v in e:
-            m |= 1 << v
+        m = _mask(e)
         if len(e) == 1:
             singles |= m
         else:
@@ -155,12 +170,37 @@ def _witness(field: FieldSpec, mask: int) -> tuple[FieldElement, ...]:
     return tuple(out)
 
 
+def _translation_invariant(hg: ProgressionHypergraph) -> bool:
+    """Whether the edge set maps onto itself under every x -> x + c.
+
+    Checked for c = p^j (j < k), whose coefficient vectors are the unit
+    vectors and so generate (F_q, +); O(|E| k).
+    """
+    field = hg.field
+    masks = {_mask(e) for e in hg.edges}
+    ext = _periodic(field, np.arange(field.q, dtype=np.int64))
+    for j in range(field.k):
+        to = _shifted(field, ext, field.p ** j).reshape(field.q).tolist()
+        if any(_mask(to[v] for v in e) not in masks for e in hg.edges):
+            return False
+    return True
+
+
 def r_exact(hg: ProgressionHypergraph,
             node_budget: int = 10_000_000) -> ExtremalResult:
     """Exact maximum independent set by branch and bound (deterministic).
 
-    Runs to completion within node_budget (exact = True) or returns the
-    best set found so far (exact = False); never raises for budget.
+    When the edge set is translation-invariant (every hypergraph that
+    build_hypergraph returns is) and vertex 0 is usable, some optimum
+    contains 0: the search includes 0 at the root and never explores the
+    branch without it, so the witness then contains vertex 0.  Any other
+    hypergraph gets the full search.  The search runs on an explicit stack
+    (no recursion), visiting nodes in include-first depth-first order.
+
+    Runs to completion within node_budget (exact = True) or stops at the
+    first node over it and returns the best set found so far
+    (exact = False, nodes_explored = node_budget + 1); never raises for
+    budget.
     """
     q = hg.q
     if q > _BITSET_LIMIT:
@@ -172,38 +212,42 @@ def r_exact(hg: ProgressionHypergraph,
     best_size = bin(best_mask).count("1")
     nodes = 0
     truncated = False
+    # frames (cur, cand, size, forced): the set so far, the vertices still
+    # open, |cur|, and whether the exclude branch of the lowest candidate
+    # is skipped.  The include child is pushed above the exclude sibling,
+    # so nodes pop in the order of a recursive include-first search.
+    forced = bool(usable & 1) and _translation_invariant(hg)
+    stack = [(0, usable, 0, forced)]
+    while stack:
+        cur, cand, size, forced = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
+            truncated = True
+            break
+        if size + cand.bit_count() <= best_size:
+            continue
+        if cand == 0:
+            best_size, best_mask = size, cur
+            continue
+        vbit = cand & -cand
+        v = vbit.bit_length() - 1
+        if not forced:
+            stack.append((cur, cand & ~vbit, size, False))  # exclude v
+        blocked = False
+        newcand = cand & ~vbit
+        for e in edges_of[v]:
+            rem = e & ~cur
+            if rem & ~cand:
+                continue  # some vertex already excluded: edge is dead
+            rem &= ~vbit
+            if rem == 0:
+                blocked = True  # v alone completes this edge
+                break
+            if rem & (rem - 1) == 0:
+                newcand &= ~rem  # unit propagation
+        if not blocked:
+            stack.append((cur | vbit, newcand, size + 1, False))  # include v
 
-    def dfs(cur: int, cand: int, size: int) -> None:
-        nonlocal best_mask, best_size, nodes, truncated
-        while True:
-            nodes += 1
-            if nodes > node_budget:
-                truncated = True
-                return
-            if size + bin(cand).count("1") <= best_size:
-                return
-            if cand == 0:
-                best_size, best_mask = size, cur
-                return
-            vbit = cand & -cand
-            v = vbit.bit_length() - 1
-            blocked = False
-            newcand = cand & ~vbit
-            for e in edges_of[v]:
-                rem = e & ~cur
-                if rem & ~cand:
-                    continue  # some vertex already excluded: edge is dead
-                rem &= ~vbit
-                if rem == 0:
-                    blocked = True  # v alone completes this edge
-                    break
-                if rem & (rem - 1) == 0:
-                    newcand &= ~rem  # unit propagation
-            if not blocked and not truncated:
-                dfs(cur | vbit, newcand, size + 1)
-            cand &= ~vbit  # exclude v and continue in place
-
-    dfs(0, usable, 0)
     return ExtremalResult(q, best_size, _witness(hg.field, best_mask),
                           not truncated, nodes,
                           time.perf_counter() - t0, "branch_and_bound")

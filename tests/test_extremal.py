@@ -2,16 +2,20 @@
 
 r_exact is validated against an in-file 2^q exhaustive sweep over every
 subset (pure integers, no shared code), and every witness is replayed
-through count_progressions to confirm it really avoids the system.
+through count_progressions to confirm it really avoids the system.  The
+translation-symmetry break (vertex 0 forced into the search) is checked
+against the full search on relabelled copies that the break cannot apply to,
+and against the sweep on random translation-invariant hypergraphs.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffprog.counting import count_progressions
 from ffprog.errors import InsufficientData, InvalidRange, TwistedSystem
 from ffprog.extremal import (ExtremalResult, ProgressionHypergraph,
-                             build_hypergraph, gamma_fit, r_exact,
-                             r_lower_random)
+                             _translation_invariant, build_hypergraph,
+                             gamma_fit, r_exact, r_lower_random)
 from ffprog.field import make_field
 from ffprog.polys import progression_system
 
@@ -169,6 +173,116 @@ def test_r_exact_extension_field():
     # the known cap-set size in (F_3)^2 is 4
     assert res.exact and res.r == 4
     assert count_progressions(sys, list(res.witness), "nonzero") == 0
+
+
+def test_r_exact_node_budget_mid_search():
+    # the budget runs out inside the subtree under the forced vertex 0
+    sys = progression_system(["y", "y^2"])
+    field = make_field(31)
+    hg = build_hypergraph(sys, field)
+    full = r_exact(hg)
+    cut = r_exact(hg, node_budget=50)
+    assert full.exact and full.nodes_explored > 50
+    assert not cut.exact
+    assert cut.nodes_explored == 51  # stops at the first node over budget
+    assert 1 <= cut.r <= full.r
+    assert len(cut.witness) == cut.r
+    assert count_progressions(sys, list(cut.witness), "nonzero") == 0
+
+
+# -- translation-symmetry break -----------------------------------------------
+
+def is_independent(indices, edges):
+    s = set(indices)
+    return all(not set(e) <= s for e in edges)
+
+
+def test_r_exact_star_is_not_translation_invariant():
+    # every edge holds 0, so the best set is everything else; forcing 0
+    # into the set without checking invariance would give r = 1
+    field = make_field(5)
+    hg = ProgressionHypergraph(field, ((0, 1), (0, 2), (0, 3), (0, 4)),
+                               "nonzero", "paper_literal")
+    assert not _translation_invariant(hg)
+    res = r_exact(hg)
+    assert res.exact
+    assert res.r == 4
+    assert res.witness_indices == (1, 2, 3, 4)
+
+
+def relabelled(hg):
+    """The same hypergraph with vertices 0 and 1 swapped (not affine)."""
+    perm = list(range(hg.q))
+    perm[0], perm[1] = 1, 0
+    edges = tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in hg.edges))
+    return ProgressionHypergraph(hg.field, edges, hg.y_rule, hg.degeneracy)
+
+
+BREAK_CASES = (
+    [(p, 1, ("y", "y^2"), policy) for p in (11, 13, 17, 19, 23, 29, 31, 37)
+     for policy in ("paper_literal", "distinct_points")]
+    + [(p, 1, ("y", "2y"), "paper_literal")
+       for p in (11, 13, 17, 19, 23, 29, 31, 37)]
+    + [(p, k, polys, "paper_literal") for p, k in ((5, 2), (3, 3))
+       for polys in (("y", "y^2"), ("y", "2y"))])
+
+
+@pytest.mark.parametrize("p,k,polys,policy", BREAK_CASES)
+def test_r_exact_break_matches_full_search(p, k, polys, policy):
+    hg = build_hypergraph(progression_system(list(polys)), make_field(p, k),
+                          degeneracy=policy)
+    other = relabelled(hg)
+    assert _translation_invariant(hg)
+    assert not _translation_invariant(other)  # so the full search runs
+    forced, full = r_exact(hg), r_exact(other)
+    assert forced.exact and full.exact
+    assert forced.r == full.r
+    assert 0 in forced.witness_indices
+    assert forced.nodes_explored < full.nodes_explored
+    assert is_independent(forced.witness_indices, hg.edges)
+    assert is_independent(full.witness_indices, other.edges)
+
+
+def sweep_r(q, edges):
+    """Independence number by a sweep over all 2^q vertex subsets."""
+    masks = [sum(1 << v for v in set(e)) for e in edges]
+    return max(bin(s).count("1") for s in range(1 << q)
+               if all(m & s != m for m in masks))
+
+
+SMALL_FIELDS = {(p, k): make_field(p, k)
+                for p, k in ((5, 1), (7, 1), (11, 1), (2, 3), (3, 2))}
+
+
+@st.composite
+def orbit_hypergraphs(draw):
+    """Orbits of 1-3 base sets under x -> x + c, maybe plus the edge {0}."""
+    field = SMALL_FIELDS[draw(st.sampled_from(sorted(SMALL_FIELDS)))]
+    els = field.elements()
+    bases = draw(st.lists(st.sets(st.integers(0, field.q - 1), min_size=1,
+                                  max_size=4), min_size=1, max_size=3))
+    edges = {tuple(sorted({(els[b] + c).index for b in base}))
+             for base in bases for c in els}
+    invariant = True
+    if draw(st.booleans()) and (0,) not in edges:
+        edges.add((0,))  # vertex 0 unusable: the break must stay off
+        invariant = False
+    hg = ProgressionHypergraph(field, tuple(sorted(edges)), "nonzero",
+                               "paper_literal")
+    return hg, invariant
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_hypergraphs())
+def test_r_exact_matches_sweep_on_invariant_hypergraphs(case):
+    hg, invariant = case
+    assert _translation_invariant(hg) is invariant
+    res = r_exact(hg)
+    assert res.exact
+    assert res.r == sweep_r(hg.q, hg.edges)
+    assert len(res.witness_indices) == res.r
+    assert 0 in res.witness_indices or not (invariant and res.r)
+    assert is_independent(res.witness_indices, hg.edges)
 
 
 def test_bitset_limit():
