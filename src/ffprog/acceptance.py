@@ -26,11 +26,11 @@ from .decomposition import (budget_from_schedule, u2_threshold_decompose,
                             verify_decomposition)
 from .extremal import build_hypergraph, r_exact
 from .field import is_prime, make_field
-from .functions import (_random_phase, _random_spike, character_function,
-                        dense_function, fourier_transform, random_one_bounded,
-                        two_var_function)
+from .functions import (_random_phase, _random_spike, _random_two_var,
+                        character_function, dense_function, fourier_transform,
+                        random_one_bounded)
 from .gowers import check_cs_inequality, gowers_norm, gowers_u2_via_fourier
-from .polys import int_poly, progression_system
+from .polys import int_poly, progression_system, reduce_and_eval
 from .rng import SplitMix64, derive_seed
 from .schedule import (ScheduleParams, delta_schedule, u2_step_constraints,
                        exponent_negativity)
@@ -50,10 +50,6 @@ class CriterionResult:
         tag = "PASS" if self.passed else "FAIL"
         return (f"{tag} criterion {self.index}: {self.name} "
                 f"({self.detail}) [{self.seconds:.1f}s]")
-
-
-def _random_subset(rng: SplitMix64, q: int, density: float = 0.5):
-    return rng.subset(q, density)
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +172,7 @@ def criterion_4() -> CriterionResult:
         F = make_field(q)
         rng = SplitMix64(derive_seed(MASTER_SEED, 4, q))
         for _ in range(200):
-            A = _random_subset(rng, q)
+            A = rng.subset(q, 0.5)
             got = count_progressions(system, A, y_rule="all", field=F)
             want = _oracle_count(q, coeffs, A)
             cells += 1
@@ -203,16 +199,9 @@ def _spec_41_check(q: int) -> float:
     shifted = progression_system([P2 - P1], Q=[P1])
     # direct construction of g by its definition
     gv = np.zeros(q, dtype=np.complex128)
-    for yi in range(q):
-        y = F.element_at(yi)
-        s1 = F.element(0)
-        s2 = F.element(0)
-        # Horner in the field
-        for c in reversed(P1.coeffs):
-            s1 = s1 * y + F.element(c % F.p)
-        for c in reversed(P2.coeffs):
-            s2 = s2 * y + F.element(c % F.p)
-        gv += f1.shift(s1.index).values * f2.shift(s2.index).values
+    for y in F.elements():
+        gv += (f1.shift(reduce_and_eval(P1, F, y)).values
+               * f2.shift(reduce_and_eval(P2, F, y)).values)
     gv /= q
     g = dense_function(F, gv)
     ghat = fourier_transform(g).coeffs
@@ -278,22 +267,14 @@ def criterion_6() -> CriterionResult:
     for i in range(50):
         q = (5, 7, 11)[i % 3]
         F = make_field(q)
-        fs = []
-        for _ in range(3):  # m = 2 means three functions
-            vals = np.array([rng.unit_disk() for _ in range(q * q)],
-                            dtype=np.complex128).reshape(q, q)
-            fs.append(two_var_function(F, vals))
+        fs = [_random_two_var(F, rng) for _ in range(3)]  # m = 2
         chk = check_cs_inequality(fs, 3)
         worst = max(worst, chk.lhs - chk.rhs)
         if not chk.holds:
             fails += 1
     # s = 2: both sides collapse to the same average, exactly
     F = make_field(7)
-    fs2 = []
-    for _ in range(3):
-        vals = np.array([rng.unit_disk() for _ in range(49)],
-                        dtype=np.complex128).reshape(7, 7)
-        fs2.append(two_var_function(F, vals))
+    fs2 = [_random_two_var(F, rng) for _ in range(3)]
     chk2 = check_cs_inequality(fs2, 2)
     exact2 = abs(chk2.lhs - chk2.rhs) <= 1e-12
     dt = time.perf_counter() - t0
@@ -319,7 +300,7 @@ def criterion_7() -> CriterionResult:
         F = make_field(p)
         rng = SplitMix64(derive_seed(MASTER_SEED, 7, p))
         for _ in range(20):
-            A = _random_subset(rng, p)
+            A = rng.subset(p, 0.5)
             n = len(A)
             count = count_progressions(system, A, y_rule="all", field=F)
             err = abs(count - n ** 3 / p)

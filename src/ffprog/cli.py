@@ -54,8 +54,8 @@ from .decomposition import (budget, budget_from_schedule,
 from .errors import FFProgError, ThresholdViolation
 from .extremal import build_hypergraph, r_exact, r_lower_random
 from .field import is_prime, make_field
-from .functions import (_random_phase, _random_spike, balanced_indicator,
-                        indicator, random_one_bounded, two_var_function)
+from .functions import (_random_phase, _random_spike, _random_two_var,
+                        balanced_indicator, indicator, random_one_bounded)
 from .gowers import (check_cs_inequality, gowers_norm, gowers_u2_via_fourier,
                      u2_dual_upper_bound)
 from .polys import parse_poly, progression_system, render_poly
@@ -426,17 +426,12 @@ def _cmd_schedule(args) -> int:
 def _cmd_cs_check(args) -> int:
     seed = _resolve_seed(args)
     field = make_field(args.p, args.k)
-    q = field.q
     ledger = Ledger(args.out)
     head = _envelope(args, seed, "cs-check")
     rng = SplitMix64(derive_seed(seed, 0xC5))
     failures = []
     for trial in range(args.trials):
-        fs = []
-        for _ in range(args.m + 1):
-            vals = np.array([rng.unit_disk() for _ in range(q * q)],
-                            dtype=np.complex128).reshape(q, q)
-            fs.append(two_var_function(field, vals))
+        fs = [_random_two_var(field, rng) for _ in range(args.m + 1)]
         chk = check_cs_inequality(fs, args.s)
         rec = dict(head)
         rec.update({"trial": trial, "lhs": chk.lhs, "rhs": chk.rhs,

@@ -60,7 +60,6 @@ from .errors import (
     CharacteristicWarning,
     DegenerateCombination,
     DependentSystem,
-    ElementOutOfField,
     EmptyInput,
     FieldMismatch,
     IndexOutOfRange,
@@ -68,7 +67,8 @@ from .errors import (
     TwistedSystem,
 )
 from .field import FieldElement, FieldSpec, _periodic, _shifted
-from .functions import DenseFunction, character_function, indicator
+from .functions import (DenseFunction, _as_index, _indicator_values,
+                        character_function, indicator)
 from .polys import (
     DependenceWitness,
     IntPoly,
@@ -180,18 +180,6 @@ def _resolve_field(A, field: FieldSpec | None) -> FieldSpec:
     raise EmptyInput("cannot infer the field from A; pass field=...")
 
 
-def _indicator_vector(field: FieldSpec, A, dtype) -> np.ndarray:
-    ind = np.zeros(field.q, dtype=dtype)
-    for item in A:
-        if isinstance(item, FieldElement):
-            if item.field != field:
-                raise ElementOutOfField(f"{item} not in {field}")
-            ind[item.index] = 1
-        else:
-            ind[field.element(item).index] = 1
-    return ind
-
-
 def count_progressions(system: ProgressionSystem, A, y_rule: str = "all",
                        field: FieldSpec | None = None) -> int:
     """Exact integer count of pairs (x, y) with the whole progression in A.
@@ -205,7 +193,7 @@ def count_progressions(system: ProgressionSystem, A, y_rule: str = "all",
     if y_rule not in ("all", "nonzero"):
         raise InvalidRange(f"y_rule must be 'all' or 'nonzero', got {y_rule!r}")
     field = _resolve_field(A, field)
-    ind = _indicator_vector(field, A, np.int64)
+    ind = _indicator_values(field, A, np.int64)
     ext = _periodic(field, ind)
     ind = ind.reshape((field.p,) * field.k)
     tables = [poly_index_table(p, field) for p in system.P]
@@ -376,15 +364,11 @@ def base_case_report(P1: IntPoly, Qs, F, Psi) -> BaseCaseReport:
         )
     chars = [character_function(field, a).values for a in Psi]
     value = _lambda_raw(field, [P1], fv, Qs, chars)
-    trivial = all(_as_char_index(field, a) == 0 for a in Psi)
+    trivial = all(_as_index(field, a) == 0 for a in Psi)
     main = complex(fv[0].mean() * fv[1].mean()) if trivial else 0j
     error = value - main
     return BaseCaseReport(value, main, error,
                           abs(error) * field.q ** 0.5, trivial, field.q)
-
-
-def _as_char_index(field: FieldSpec, a) -> int:
-    return a.index if isinstance(a, FieldElement) else int(a) % field.q
 
 
 # --------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def _mask(vertices) -> int:
 
 
 def _edge_masks(hg: ProgressionHypergraph):
-    """Bitmask edges, unusable-vertex mask, per-vertex incidence lists."""
+    """Per-vertex incidence lists of bitmask edges, and the usable mask."""
     q = hg.q
     singles = 0
     masks = []
@@ -144,10 +144,10 @@ def _edge_masks(hg: ProgressionHypergraph):
             edges_of[v].append(m)
             mm &= mm - 1
     usable = ((1 << q) - 1) & ~singles
-    return masks, edges_of, usable
+    return edges_of, usable
 
 
-def _greedy_mask(q: int, order, edges_of, usable: int) -> int:
+def _greedy_mask(order, edges_of, usable: int) -> int:
     """Deterministic greedy independent set along the given vertex order."""
     cur = 0
     for v in order:
@@ -206,9 +206,9 @@ def r_exact(hg: ProgressionHypergraph,
     if q > _BITSET_LIMIT:
         raise InvalidRange(f"bitset search capped at q <= {_BITSET_LIMIT}")
     t0 = time.perf_counter()
-    _, edges_of, usable = _edge_masks(hg)
+    edges_of, usable = _edge_masks(hg)
 
-    best_mask = _greedy_mask(q, range(q), edges_of, usable)
+    best_mask = _greedy_mask(range(q), edges_of, usable)
     best_size = bin(best_mask).count("1")
     nodes = 0
     truncated = False
@@ -264,7 +264,7 @@ def r_lower_random(hg: ProgressionHypergraph, iters: int,
     if iters < 1:
         raise InvalidRange(f"iters must be >= 1, got {iters}")
     t0 = time.perf_counter()
-    _, edges_of, usable = _edge_masks(hg)
+    edges_of, usable = _edge_masks(hg)
     rng = SplitMix64(seed)
     vertices = [v for v in range(q) if usable & (1 << v)]
     best_mask = 0
@@ -273,7 +273,7 @@ def r_lower_random(hg: ProgressionHypergraph, iters: int,
     for _ in range(iters):
         order = vertices[:]
         rng.shuffle(order)
-        cur = _greedy_mask(q, order, edges_of, usable)
+        cur = _greedy_mask(order, edges_of, usable)
         attempts += len(order)
         size = bin(cur).count("1")
         if size > best_size:

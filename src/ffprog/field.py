@@ -26,7 +26,10 @@ _shifted returns the window starting at e's coefficients, as a view.
 Everything here is exact integer arithmetic; floating point enters only in
 the character values themselves.  The q x q tables (addition table,
 character matrix) are built lazily, cached on the field object and capped
-at q <= 4096; counting and translation need neither.
+at q <= 4096; counting, translation and the naive Gowers norm need
+neither.  No library code reads the addition table or neg_perm: tests
+check them against FieldElement arithmetic, and the benchmark's tracer
+wraps both methods by name.
 
 Errors raised here: NotPrime, ReducibleModulus, DegreeMismatch,
 DivisionByZero, FieldMismatch, InvalidRange.

@@ -120,17 +120,22 @@ def constant_function(field: FieldSpec, c) -> DenseFunction:
     return DenseFunction(field, np.full(field.q, complex(c)))
 
 
-def indicator(field: FieldSpec, subset) -> DenseFunction:
-    """1_A for a collection of field elements (ints embed as constants)."""
-    v = np.zeros(field.q, dtype=np.complex128)
+def _indicator_values(field: FieldSpec, subset, dtype=np.complex128) -> np.ndarray:
+    """1_A as a length-q array of dtype (ints embed as constants)."""
+    v = np.zeros(field.q, dtype=dtype)
     for item in subset:
         if isinstance(item, FieldElement):
             if item.field != field:
                 raise ElementOutOfField(f"{item} not in {field}")
-            v[item.index] = 1.0
+            v[item.index] = 1
         else:
-            v[field.element(item).index] = 1.0
-    return DenseFunction(field, v)
+            v[field.element(item).index] = 1
+    return v
+
+
+def indicator(field: FieldSpec, subset) -> DenseFunction:
+    """1_A for a collection of field elements (ints embed as constants)."""
+    return DenseFunction(field, _indicator_values(field, subset))
 
 
 def balanced_indicator(field: FieldSpec, subset) -> DenseFunction:
@@ -172,6 +177,13 @@ def _random_spike(field: FieldSpec, rng: SplitMix64) -> tuple[DenseFunction, int
     noise = _random_phase(field, rng).values
     vals = character_function(field, a).values + eps * noise
     return DenseFunction(field, vals / np.sqrt(np.mean(np.abs(vals) ** 2))), a
+
+
+def _random_two_var(field: FieldSpec, rng: SplitMix64) -> TwoVarFunction:
+    """(x, y) -> one unit-disk draw per point, drawn row by row."""
+    q = field.q
+    vals = np.array([rng.unit_disk() for _ in range(q * q)]).reshape(q, q)
+    return TwoVarFunction(field, vals)
 
 
 # --------------------------------------------------------------------------

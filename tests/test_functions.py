@@ -62,7 +62,7 @@ def test_shift_semantics():
     assert np.allclose(f.shift(2).values, [(x + 2) % 7 for x in range(7)])
     assert np.allclose(f.shift(F7.element(3)).values,
                        [(x + 3) % 7 for x in range(7)])
-    # extension fields use the addition table, same contract
+    # extension fields shift by the same window view, same contract
     g = dense_function(F9, range(9))
     h = F9.element([1, 2])
     shifted = g.shift(h)

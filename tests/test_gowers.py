@@ -3,8 +3,9 @@
 gowers_norm is validated against an in-file brute-force oracle that
 averages the iterated-derivative product over the full (s+1)-cube
 directly from the definition -- no shared code with the implementation,
-which recurses on difference matrices.  U^2 additionally gets the
-independent Fourier route (sum of fourth powers of coefficients).
+which differences every translate at once through window views.  U^2
+additionally gets the independent Fourier route (sum of fourth powers of
+coefficients).
 """
 
 from itertools import product
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from ffprog.errors import (BudgetExceeded, InvalidRange, NotOneBounded)
-from ffprog.field import make_field
+from ffprog.field import FieldSpec, make_field
 from ffprog.functions import (character_function, dense_function, indicator,
                               inner, random_one_bounded, two_var_function)
 from ffprog.gowers import (GowersNormValue, check_cs_inequality, cs_project,
@@ -55,10 +56,12 @@ def rand_fn(field, seed, scale=1.0):
 
 # -- agreement with the definition ------------------------------------------------
 
-@pytest.mark.parametrize("field", [make_field(5), F7, make_field(3, 2)],
-                         ids=lambda F: f"GF({F.q})")
-@pytest.mark.parametrize("s", [1, 2, 3])
-def test_gowers_norm_matches_brute_force(field, s):
+@pytest.mark.parametrize(
+    "s, field",
+    [(s, F) for s in (1, 2, 3) for F in (make_field(5), F7, make_field(3, 2))]
+    + [(4, make_field(5)), (4, make_field(2, 2))],
+    ids=lambda v: f"GF({v.q})" if isinstance(v, FieldSpec) else None)
+def test_gowers_norm_matches_brute_force(s, field):
     for seed in range(3):
         f = rand_fn(field, 100 * s + seed)
         got = gowers_norm(f, s)
@@ -70,7 +73,8 @@ def test_gowers_norm_matches_brute_force(field, s):
 
 
 def test_u2_fourier_route_agrees_with_naive():
-    for field in (F7, make_field(3, 2), make_field(11)):
+    # GF(1009): U^2 there holds 1009^2 values, inside the default budget
+    for field in (F7, make_field(3, 2), make_field(11), make_field(1009)):
         for seed in range(5):
             f = rand_fn(field, 900 + seed, scale=2.0)  # not 1-bounded: fine
             naive = gowers_norm(f, 2)
@@ -156,12 +160,27 @@ def test_norm_is_shift_and_phase_invariant():
 
 def test_budget_exceeded():
     f = random_one_bounded(make_field(101), 1)
-    with pytest.raises(BudgetExceeded):
-        gowers_norm(f, 4)  # 101^5 > 1e9
+    with pytest.raises(BudgetExceeded,
+                       match=r"q\^s = 104060401 complex values \(1588 MiB\)"):
+        gowers_norm(f, 4)  # 101^4 values > 2^24
     # the same function fits at s = 3
     assert gowers_norm(f, 3).value <= 1 + 1e-9
     with pytest.raises(BudgetExceeded):
         gowers_norm(random_one_bounded(F7, 2), 2, budget=10)
+
+
+def test_naive_norms_never_build_the_addition_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("add_index_table called")
+
+    monkeypatch.setattr(FieldSpec, "add_index_table", refuse)
+    for field in (F7, make_field(3, 2)):
+        f = rand_fn(field, 31)
+        for s in (1, 2, 3):
+            assert gowers_norm(f, s).raw_power == pytest.approx(
+                u_raw_power_oracle(f, s), abs=1e-10)
+        fs = [two_var_rand(field, 32), two_var_rand(field, 33)]
+        assert check_cs_inequality(fs, 3).holds
 
 
 def test_invalid_s_and_negative_raw():
