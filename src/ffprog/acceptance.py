@@ -28,7 +28,7 @@ from .extremal import build_hypergraph, r_exact
 from .field import is_prime, make_field
 from .functions import (_random_phase, _random_spike, _random_two_var,
                         character_function, dense_function, fourier_transform,
-                        random_one_bounded)
+                        inner, random_one_bounded)
 from .gowers import check_cs_inequality, gowers_norm, gowers_u2_via_fourier
 from .polys import int_poly, progression_system, reduce_and_eval
 from .rng import SplitMix64, derive_seed
@@ -376,7 +376,7 @@ def criterion_9() -> CriterionResult:
             dual = res.certificates.dual_bound
             for _ in range(1000):
                 g = random_one_bounded(F, rng.next_u64())
-                lhs = abs(np.vdot(g.values, res.fa.values) / q)
+                lhs = abs(inner(res.fa, g))
                 rhs = dual * gowers_u2_via_fourier(g).value
                 if lhs > rhs + 1e-9:
                     pair_violations += 1

@@ -40,7 +40,6 @@ import json
 import math
 import os
 import sys
-import time
 import warnings
 from fractions import Fraction
 
@@ -55,10 +54,11 @@ from .errors import FFProgError, ThresholdViolation
 from .extremal import build_hypergraph, r_exact, r_lower_random
 from .field import is_prime, make_field
 from .functions import (_random_phase, _random_spike, _random_two_var,
-                        balanced_indicator, indicator, random_one_bounded)
+                        balanced_indicator, character_function, indicator,
+                        random_one_bounded)
 from .gowers import (check_cs_inequality, gowers_norm, gowers_u2_via_fourier,
                      u2_dual_upper_bound)
-from .polys import parse_poly, progression_system, render_poly
+from .polys import parse_poly, progression_system
 from .rng import SplitMix64, derive_seed
 from .schedule import (bound_recursion, budget_condition, delta_schedule,
                        exponent_negativity, initial_state)
@@ -357,8 +357,7 @@ def _cmd_decompose(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore" if args.quiet_warnings else "default")
         res = u2_threshold_decompose(f, bud)
-        ver = verify_decomposition(f, res.fa, res.fb, res.fc, bud,
-                                   dual_upper=res.certificates.dual_bound)
+        ver = verify_decomposition(f, res.fa, res.fb, res.fc, bud)
     th = bud.thresholds(field.q)
     ledger = Ledger(args.out)
     rec = _envelope(args, seed, "decompose")
@@ -475,7 +474,6 @@ def verify_theorem(system, primes, trials: int, density: float, seed: int,
                 n = len(idx)
                 fs = [indicator(field, idx) for _ in range(system.m1 + 1)]
                 if system.m2:
-                    from .functions import character_function
                     gs = [character_function(field, a) for a in psi]
                     value = lambda_average(system, fs, gs)
                     trivial = all(a == 0 for a in psi)

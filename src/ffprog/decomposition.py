@@ -20,9 +20,11 @@ sum of kept |fhat| (a sound upper bound for the U^2 dual norm), the U^2
 norm of the tail as (sum of dropped |fhat|^4)^(1/4), which is the exact
 identity -- while the verifier recomputes the same quantities from the
 parts by direct averaging, so producer and verifier never share a code
-path.  The cutoff sweeps the dyadic values 1, 1/2, .., down to just below
-1/q, and the smallest certified cutoff wins; if none certifies, the result
-is status 'failed' carrying the least-violating attempt.
+path.  All dyadic cutoffs 1, 1/2, .., down to just below 1/q are tried in
+one pass: one row per cutoff, one batched inverse transform for every
+candidate fa.  The smallest certified cutoff wins; if none certifies, the
+result is status 'failed' carrying the least-violating attempt (fewest
+violated checks, then smallest worst ratio, first on ties).
 
 Errors raised here: NotL2Normalized, ShapeMismatch, InvalidRange,
 IndexOutOfRange, ThresholdViolation (re-certification only).
@@ -46,8 +48,8 @@ from .errors import (
     ShapeMismatch,
     ThresholdViolation,
 )
-from .functions import (DenseFunction, FourierCoefficients, fourier_transform,
-                        inverse_fourier, lp_norm)
+from .functions import (DenseFunction, _inverse_rows, fourier_transform,
+                        lp_norm)
 from .gowers import gowers_norm, u2_dual_upper_bound
 from .schedule import BudgetCheck, ScheduleParams, budget_condition
 
@@ -229,10 +231,13 @@ def u2_threshold_decompose(f: DenseFunction,
                            bud: DecompositionBudget) -> DecompositionResult:
     """Fourier-threshold decomposition at s = 2.
 
-    Sweeps dyadic cutoffs tau = 1, 1/2, ..., 2^(-ceil(log2 q)); for each,
-    fa collects the characters with |fhat| >= tau, fc the rest, fb = 0.
-    Returns the smallest certified tau, or status 'failed' with the
-    least-violating attempt if the sweep never certifies.
+    Tries every dyadic cutoff tau = 1, 1/2, ..., 2^(-ceil(log2 q)) in one
+    pass: row t of a stacked spectrum keeps the characters with
+    |fhat| >= tau_t, and one batched inverse transform gives every
+    candidate fa (fc = f - fa, fb = 0).  Returns the smallest certified
+    tau, or status 'failed' with the least-violating cutoff (fewest
+    violated checks, then smallest worst ratio, first on ties) if none
+    certifies.  Parts and result are built once, for that cutoff.
     """
     if bud.s != 2:
         raise InvalidRange("the threshold producer works at s = 2 only")
@@ -240,53 +245,35 @@ def u2_threshold_decompose(f: DenseFunction,
     field = f.field
     q = field.q
     _warn_budget(bud, q)
-    thresholds = bud.thresholds(q)
+    thresholds = np.array(bud.thresholds(q))
 
     coeffs = fourier_transform(f).coeffs
-    mags = np.abs(coeffs)
-
-    best_fail = None  # (violations, worst_ratio, result)
-    best_cert = None
-    for t_exp in range(int(math.ceil(math.log2(q))) + 1):
-        tau = 2.0 ** -t_exp
-        keep = mags >= tau
-        kept = np.where(keep, coeffs, 0.0)
-        rest = coeffs - kept
-        fa = inverse_fourier(FourierCoefficients(field, kept))
-        fc_vals = f.values - fa.values
-        fb = DenseFunction(field, np.zeros(q, dtype=np.complex128))
-        fc = DenseFunction(field, fc_vals)
-        certs = Certificates(
-            dual_bound=float(np.abs(kept).sum()),
-            l1_fb=0.0,
-            linf_fc=float(np.abs(fc_vals).max()),
-            usnorm_fc=float(np.sum(np.abs(rest) ** 4) ** 0.25),
-        )
-        oks = certs.within(thresholds)
-        result = DecompositionResult(fa, fb, fc, bud, certs,
-                                     "certified" if all(oks) else "failed",
-                                     (), tau)
-        if all(oks):
-            best_cert = result  # keep sweeping: smallest certified tau wins
-        else:
-            ratios = []
-            for ok, got, want in zip(oks, (certs.dual_bound, certs.l1_fb,
-                                           certs.linf_fc, certs.usnorm_fc),
-                                     thresholds):
-                if not ok:
-                    ratios.append((got if got is not None else math.inf) / want)
-            key = (len(ratios), max(ratios))
-            if best_fail is None or key < best_fail[0]:
-                best_fail = (key, result)
-
-    if best_cert is not None:
-        return best_cert
-    key, result = best_fail
-    diags = (f"no dyadic cutoff certified; best attempt tau = {result.tau} "
-             f"violates {key[0]} checks (worst ratio {key[1]:.4f})",)
-    return DecompositionResult(result.fa, result.fb, result.fc, bud,
-                               result.certificates, "failed", diags,
-                               result.tau)
+    taus = 2.0 ** -np.arange(math.ceil(math.log2(q)) + 1)
+    kept = np.where(np.abs(coeffs) >= taus[:, None], coeffs, 0.0)
+    fas = _inverse_rows(field, kept)
+    fcs = f.values - fas
+    # columns: dual bound, ||fb||_1 = 0, ||fc||_inf, ||fc||_U2 (one row per tau)
+    certs = np.stack([np.abs(kept).sum(axis=1), np.zeros(len(taus)),
+                      np.abs(fcs).max(axis=1),
+                      np.sum(np.abs(coeffs - kept) ** 4, axis=1) ** 0.25],
+                     axis=1)
+    bad = certs > thresholds + _CERT_TOL
+    certified = np.flatnonzero(~bad.any(axis=1))
+    if certified.size:
+        t, status, diags = certified[-1], "certified", ()  # smallest tau
+    else:
+        violations = bad.sum(axis=1)
+        worst = np.where(bad, certs / thresholds, 0.0).max(axis=1)
+        t = min(range(len(taus)), key=lambda i: (violations[i], worst[i]))
+        status = "failed"
+        diags = (f"no dyadic cutoff certified; best attempt tau = "
+                 f"{float(taus[t])} violates {violations[t]} checks "
+                 f"(worst ratio {worst[t]:.4f})",)
+    return DecompositionResult(DenseFunction(field, fas[t]),
+                               DenseFunction(field, np.zeros(q)),
+                               DenseFunction(field, fcs[t]), bud,
+                               Certificates(*map(float, certs[t])), status,
+                               diags, float(taus[t]))
 
 
 def recheck_certificates(result: DecompositionResult, q: int) -> None:

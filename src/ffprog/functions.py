@@ -213,11 +213,15 @@ def fourier_transform(f: DenseFunction) -> FourierCoefficients:
     return FourierCoefficients(f.field, fhat)
 
 
+def _inverse_rows(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
+    """f(x) = sum_a fhat(a) psi_a(x) for one spectrum or a stack of rows."""
+    # chi is symmetric (Tr(ax) = Tr(xa)), so chi.T @ c = chi @ c
+    return (field.character_matrix() @ coeffs.T).T
+
+
 def inverse_fourier(coeffs: FourierCoefficients) -> DenseFunction:
     """f(x) = sum_a fhat(a) psi_a(x)."""
-    chi = coeffs.field.character_matrix()
-    # chi is symmetric (Tr(ax) = Tr(xa)), so chi.T @ c = chi @ c
-    return DenseFunction(coeffs.field, chi @ coeffs.coeffs)
+    return DenseFunction(coeffs.field, _inverse_rows(coeffs.field, coeffs.coeffs))
 
 
 # --------------------------------------------------------------------------

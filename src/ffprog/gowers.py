@@ -48,7 +48,6 @@ from .errors import BudgetExceeded, FieldMismatch, InvalidRange, NotOneBounded
 from .field import FieldSpec, _periodic
 from .functions import (
     DenseFunction,
-    TwoVarFunction,
     delta_first_var,
     fourier_transform,
 )

@@ -7,6 +7,7 @@ makes the admissibility inequality fail by design, so tests assert the
 resulting warning explicitly and silence it where it is incidental.
 """
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -147,24 +148,55 @@ def test_producer_certificates_match_fourier_data():
     assert res.certificates.linf_fc == pytest.approx(res.fc.max_abs(), rel=1e-9)
 
 
-def test_smallest_certified_tau_is_chosen():
-    f = spike_fn(F101, 12)
+@pytest.mark.parametrize("field", [F101, make_field(2, 6), make_field(3, 4)],
+                         ids=lambda F: f"GF({F.q})")
+def test_smallest_certified_tau_is_chosen(field):
+    f = spike_fn(field, 12)
     res = quiet(u2_threshold_decompose, f, SCHEDULE_BUDGET)
     assert res.certified
     coeffs = fourier_transform(f).coeffs
-    chi = F101.character_matrix()
-    thresholds = SCHEDULE_BUDGET.thresholds(101)
+    chi = field.character_matrix()
     certified_taus = []
-    for t_exp in range(8):  # dyadic sweep down to 2^-7 < 1/101 * 128
+    for t_exp in range(math.ceil(math.log2(field.q)) + 1):  # down to < 1/q
         tau = 2.0 ** -t_exp
         kept = np.where(np.abs(coeffs) >= tau, coeffs, 0.0)
-        fa = dense_function(F101, chi.T @ kept)
-        fc = dense_function(F101, f.values - fa.values)
-        fb = constant_function(F101, 0)
+        fa = dense_function(field, chi.T @ kept)
+        fc = dense_function(field, f.values - fa.values)
+        fb = constant_function(field, 0)
         ver = quiet(verify_decomposition, f, fa, fb, fc, SCHEDULE_BUDGET)
         if ver.status == "certified":
             certified_taus.append(tau)
     assert res.tau == min(certified_taus)
+
+
+@pytest.mark.parametrize("field", [F101, make_field(31), make_field(2, 6)],
+                         ids=lambda F: f"GF({F.q})")
+def test_failed_sweep_returns_first_least_violating_cutoff(field):
+    # rank each cutoff by (violated checks, worst ratio) from the raw
+    # spectrum; the producer must return the first minimal one
+    harsh = budget("1/8", "1/256", "1/128", "1/2")
+    f = phase_fn(field, 21)
+    coeffs = fourier_transform(f).coeffs
+    chi = field.character_matrix()
+    thresholds = harsh.thresholds(field.q)
+    taus, keys = [], []
+    for t_exp in range(math.ceil(math.log2(field.q)) + 1):
+        tau = 2.0 ** -t_exp
+        kept = np.where(np.abs(coeffs) >= tau, coeffs, 0.0)
+        certs = (np.abs(kept).sum(), 0.0,
+                 np.abs(f.values - chi.T @ kept).max(),
+                 np.sum(np.abs(coeffs - kept) ** 4) ** 0.25)
+        ratios = [got / want for got, want in zip(certs, thresholds)
+                  if got > want + 1e-9]
+        taus.append(tau)
+        keys.append((len(ratios), max(ratios, default=0.0)))
+    assert min(keys)[0] > 0  # nothing certifies under this budget
+    best = keys.index(min(keys))
+    res = quiet(u2_threshold_decompose, f, harsh)
+    assert res.status == "failed"
+    assert res.tau == taus[best]
+    assert (f"best attempt tau = {taus[best]} violates {keys[best][0]} checks"
+            in res.diagnostics[0])
 
 
 def test_harsh_budget_fails_honestly():
