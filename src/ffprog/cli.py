@@ -17,11 +17,14 @@ Conventions shared by every subcommand:
 
 * output is JSON lines (`--out`, default stdout); some commands add a CSV
   export (`--csv`);
-* every record carries `"schema": 1`, the tool version, the subcommand,
-  the effective config, and the seed actually used (auto-generated and
-  recorded when not supplied);
+* every record, the `failures` record included, carries `"schema": 1`, the
+  tool version, the subcommand, the config, and the seed actually used
+  (auto-generated and recorded when not supplied);
+* `config` echoes only the flags that can change a record: not `--out`,
+  `--csv`, `--quiet` or `--quiet-warnings`, nor `--seed`, which the
+  top-level `seed` already holds;
 * identical config + seed reproduce identical output except for the
-  wall-clock `ms` fields;
+  wall-clock `timing` key;
 * `--config file.json` supplies defaults for any long flag (dashes as
   underscores); explicit flags win;
 * exit status: 0 success, 1 usage or input errors, 2 when a checked
@@ -73,22 +76,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-class Ledger:
-    """JSON-lines sink with immediate flush (plus optional CSV)."""
+# parsed names that are bookkeeping, or choose where records go and how
+# loud the run is, so never what a record says
+_NOT_CONFIG = frozenset({"func", "config", "command", "seed", "out", "csv",
+                         "quiet", "quiet_warnings"})
 
-    def __init__(self, out_path: str | None, csv_path: str | None = None,
-                 csv_columns=None):
-        self._own = out_path not in (None, "-")
-        self._fh = open(out_path, "w") if self._own else sys.stdout
+
+class Ledger:
+    """One run's JSON-lines sink (plus optional CSV), flushed per record.
+
+    It owns the envelope every record starts with: schema, tool, version,
+    command, the result-changing config and the seed.
+    """
+
+    def __init__(self, args, seed: int):
+        config = {k: v for k, v in sorted(vars(args).items())
+                  if k not in _NOT_CONFIG and v is not None}
+        self._head = {"schema": 1, "tool": "ffprog", "version": __version__,
+                      "command": args.command, "config": config,
+                      "seed": seed}
+        self._own = args.out not in (None, "-")
+        self._fh = open(args.out, "w") if self._own else sys.stdout
         self._csv_fh = None
         self._csv = None
-        if csv_path:
-            self._csv_fh = open(csv_path, "w", newline="")
+        if getattr(args, "csv", None):
+            self._csv_fh = open(args.csv, "w", newline="")
             self._csv = csv.writer(self._csv_fh)
-            if csv_columns:
-                self._csv.writerow(csv_columns)
 
-    def write(self, record: dict):
+    def write(self, **fields):
+        """Write one record: the envelope, then `fields` (which may override)."""
+        record = {**self._head, **fields}
         self._fh.write(json.dumps(record, separators=(", ", ": ")) + "\n")
         self._fh.flush()
 
@@ -97,6 +114,13 @@ class Ledger:
             self._csv.writerow(row)
             self._csv_fh.flush()
 
+    def finish(self, failures) -> int:
+        """Record the failed checks, if any; return the exit code, 0 or 2."""
+        if not failures:
+            return 0
+        self.write(record="failures", failures=failures)
+        return 2
+
     def close(self):
         if self._own:
             self._fh.close()
@@ -104,17 +128,17 @@ class Ledger:
             self._csv_fh.close()
 
 
-def _envelope(args, seed: int, command: str) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "config") and v is not None}
-    return {"schema": 1, "tool": "ffprog", "version": __version__,
-            "command": command, "config": config, "seed": seed}
+def _read(flag: str, value, convert):
+    """`convert(value)` for a flag from argv or --config; bad input exits 1."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise FFProgError(f"bad {flag} value {value!r}") from None
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int.from_bytes(os.urandom(8), "big")
+def _ints(flag: str, value) -> list[int]:
+    """A comma list of integers; a bare integer from --config is one item."""
+    return _read(flag, value, lambda v: [int(t) for t in str(v).split(",")])
 
 
 def _parse_indices(source: str, values, q: int) -> list[int]:
@@ -185,17 +209,12 @@ def _primes(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
 
 
-def _fail_exit(ledger: Ledger, failures: list) -> int:
-    ledger.write({"schema": 1, "record": "failures", "failures": failures})
-    return 2
-
-
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes and writes its fields; main() owns the seed,
+# the ledger and its envelope
 # --------------------------------------------------------------------------
 
-def _cmd_count(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_count(args, seed: int, ledger: Ledger) -> int:
     field = make_field(args.p, args.k)
     system = progression_system([s.strip() for s in args.polys.split(",")])
     A, echo = _parse_set(args.set, field, seed)
@@ -207,31 +226,22 @@ def _cmd_count(args) -> int:
     main = n ** (m1 + 1) / q ** (m1 - 1) * (ys / q)
     err = count - main
     bc_ratio = abs(err) / (n ** 1.5 * q ** 0.4) if n else 0.0
-    ledger = Ledger(args.out)
-    rec = _envelope(args, seed, "count")
-    rec.update({"system": str(system), "p": field.p, "k": field.k,
-                "set": echo, "set_size": n, "y_rule": args.y_rule,
-                "count": count, "main_term": main, "error": err,
-                "bc_ratio": bc_ratio})
-    ledger.write(rec)
-    ledger.close()
+    ledger.write(system=str(system), p=field.p, k=field.k, set=echo,
+                 set_size=n, y_rule=args.y_rule, count=count,
+                 main_term=main, error=err, bc_ratio=bc_ratio)
     return 0
 
 
-def _cmd_norms(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_norms(args, seed: int, ledger: Ledger) -> int:
     field = make_field(args.p, args.k)
     f, echo = _make_function(args.fn, field, args.set, seed)
     val = gowers_norm(f, args.s)
-    rec = _envelope(args, seed, "norms")
-    rec.update({"p": field.p, "k": field.k, **echo, "s": args.s,
-                "value": val.value, "raw_power": val.raw_power})
+    extra = {}
     if args.s == 2:
-        rec["fourier_value"] = gowers_u2_via_fourier(f).value
-        rec["dual_upper_bound"] = u2_dual_upper_bound(f)
-    ledger = Ledger(args.out)
-    ledger.write(rec)
-    ledger.close()
+        extra = {"fourier_value": gowers_u2_via_fourier(f).value,
+                 "dual_upper_bound": u2_dual_upper_bound(f)}
+    ledger.write(p=field.p, k=field.k, **echo, s=args.s, value=val.value,
+                 raw_power=val.raw_power, **extra)
     return 0
 
 
@@ -248,36 +258,26 @@ def _weil_cell(p: int, coeffs) -> dict:
             "within": bool(max_scaled <= (d - 1) + 1e-12 * math.sqrt(p))}
 
 
-def _cmd_weil_scan(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_weil_scan(args, seed: int, ledger: Ledger) -> int:
     poly = parse_poly(args.poly)
-    rows = [_weil_cell(p, poly.coeffs) for p in _primes(args.pmin, args.pmax)]
-    ledger = Ledger(args.out, args.csv, ["p", "max_scaled", "bound"])
-    head = _envelope(args, seed, "weil-scan")
+    ledger.csv_row(["p", "max_scaled", "bound"])
     failures = []
-    for row in rows:
-        rec = dict(head)
-        rec.update(row)
-        ledger.write(rec)
+    for p in _primes(args.pmin, args.pmax):
+        row = _weil_cell(p, poly.coeffs)
+        ledger.write(**row)
         if row["within"] is not None:
             ledger.csv_row([row["p"], row["max_scaled"], row["bound"]])
             if not row["within"]:
                 failures.append({"p": row["p"], "max_scaled": row["max_scaled"],
                                  "bound": row["bound"]})
-    code = _fail_exit(ledger, failures) if failures else 0
-    ledger.close()
-    return code
+    return ledger.finish(failures)
 
 
-def _cmd_base_scan(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_base_scan(args, seed: int, ledger: Ledger) -> int:
     p1 = parse_poly(args.p1)
     qs = ([parse_poly(s.strip()) for s in args.qs.split(",")]
           if args.qs else [])
-    psi = ([int(t) for t in args.psi.split(",")] if args.psi
-           else [0] * len(qs))
-    ledger = Ledger(args.out)
-    head = _envelope(args, seed, "base-scan")
+    psi = _ints("--psi", args.psi) if args.psi else [0] * len(qs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore" if args.quiet_warnings else "default")
         for p in _primes(args.pmin, args.pmax):
@@ -287,29 +287,24 @@ def _cmd_base_scan(args) -> int:
                 f0 = indicator(field, rng.subset(p, args.density))
                 f1 = indicator(field, rng.subset(p, args.density))
                 rep = base_case_report(p1, qs, [f0, f1], psi)
-                rec = dict(head)
-                rec.update({"p": p, "trial": trial,
-                            "value_re": rep.value.real,
-                            "value_im": rep.value.imag,
-                            "main_re": rep.main_term.real,
-                            "main_im": rep.main_term.imag,
-                            "abs_error": abs(rep.error),
-                            "sqrt_q_error": rep.sqrt_q_error,
-                            "trivial_twist": rep.trivial_twist})
-                ledger.write(rec)
-    ledger.close()
+                ledger.write(p=p, trial=trial,
+                             value_re=rep.value.real,
+                             value_im=rep.value.imag,
+                             main_re=rep.main_term.real,
+                             main_im=rep.main_term.imag,
+                             abs_error=abs(rep.error),
+                             sqrt_q_error=rep.sqrt_q_error,
+                             trivial_twist=rep.trivial_twist)
     return 0
 
 
-def _cmd_extremal(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_extremal(args, seed: int, ledger: Ledger) -> int:
     polys = [s.strip() for s in args.polys.split(",")]
     system = progression_system(polys)
     policies = (["paper_literal", "distinct_points"] if args.degeneracy == "both"
                 else [args.degeneracy])
-    ps = [int(t) for t in args.p.split(",")]
-    ledger = Ledger(args.out, args.csv, ["q", "r", "exact", "gamma_point"])
-    head = _envelope(args, seed, "extremal")
+    ps = _ints("--p", args.p)
+    ledger.csv_row(["q", "r", "exact", "gamma_point"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for p in ps:
@@ -322,35 +317,33 @@ def _cmd_extremal(args) -> int:
                 else:
                     res = r_lower_random(hg, args.iters,
                                          derive_seed(seed, p))
-                rec = dict(head)
-                rec.update({"system": str(system), "p": field.p, "k": field.k,
-                            "policy": policy, "r": res.r, "exact": res.exact,
-                            "witness": list(res.witness_indices),
-                            "seed": res.seed if res.seed is not None else seed,
-                            "nodes": res.nodes_explored,
-                            "ms": int(res.wall_time * 1000)})
-                ledger.write(rec)
+                ledger.write(system=str(system), p=field.p, k=field.k,
+                             policy=policy, r=res.r, exact=res.exact,
+                             witness=list(res.witness_indices),
+                             seed=res.seed if res.seed is not None else seed,
+                             nodes=res.nodes_explored,
+                             timing={"ms": int(res.wall_time * 1000)})
                 if policy == policies[0]:
                     gamma_point = ""
                     if res.exact and res.r >= 1 and field.q > 1:
                         gamma_point = 1.0 - math.log(res.r) / math.log(field.q)
                     ledger.csv_row([field.q, res.r, res.exact, gamma_point])
-    ledger.close()
     return 0
 
 
 def _budget_from_args(args):
     if args.deltas:
-        parts = [Fraction(t.strip()) for t in args.deltas.split(",")]
+        parts = _read("--deltas", args.deltas,
+                      lambda v: [Fraction(t) for t in v.split(",")])
         if len(parts) != 4:
             raise FFProgError("--deltas needs four comma-separated rationals")
         return budget(*parts, s=args.s)
-    params = delta_schedule(args.s, Fraction(args.beta), Fraction(args.gamma))
+    params = delta_schedule(args.s, _read("--beta", args.beta, Fraction),
+                            _read("--gamma", args.gamma, Fraction))
     return budget_from_schedule(params, args.ell if args.ell else args.s)
 
 
-def _cmd_decompose(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_decompose(args, seed: int, ledger: Ledger) -> int:
     field = make_field(args.p, args.k)
     bud = _budget_from_args(args)
     f, echo = _make_function(args.fn, field, args.set, seed)
@@ -358,32 +351,25 @@ def _cmd_decompose(args) -> int:
         warnings.simplefilter("ignore" if args.quiet_warnings else "default")
         res = u2_threshold_decompose(f, bud)
         ver = verify_decomposition(f, res.fa, res.fb, res.fc, bud)
-    th = bud.thresholds(field.q)
-    ledger = Ledger(args.out)
-    rec = _envelope(args, seed, "decompose")
-    rec.update({"p": field.p, "k": field.k, **echo,
-                "deltas": [str(d) for d in bud.deltas],
-                "thresholds": list(th), "tau": res.tau,
-                "producer_status": res.status, "verifier_status": ver.status,
-                "certificates": {
-                    "dual_bound": ver.certificates.dual_bound,
-                    "l1_fb": ver.certificates.l1_fb,
-                    "linf_fc": ver.certificates.linf_fc,
-                    "usnorm_fc": ver.certificates.usnorm_fc},
-                "diagnostics": ver.diagnostics})
-    ledger.write(rec)
-    code = 0
-    if ver.status == "failed":
-        code = _fail_exit(ledger, [{"check": "decomposition",
-                                    "diagnostics": ver.diagnostics}])
-    ledger.close()
-    return code
+    ledger.write(p=field.p, k=field.k, **echo,
+                 deltas=[str(d) for d in bud.deltas],
+                 thresholds=list(bud.thresholds(field.q)), tau=res.tau,
+                 producer_status=res.status, verifier_status=ver.status,
+                 certificates={
+                     "dual_bound": ver.certificates.dual_bound,
+                     "l1_fb": ver.certificates.l1_fb,
+                     "linf_fc": ver.certificates.linf_fc,
+                     "usnorm_fc": ver.certificates.usnorm_fc},
+                 diagnostics=ver.diagnostics)
+    failed = ver.status == "failed"
+    return ledger.finish([{"check": "decomposition",
+                           "diagnostics": ver.diagnostics}] if failed else [])
 
 
-def _cmd_schedule(args) -> int:
-    seed = _resolve_seed(args)
-    params = delta_schedule(args.s, Fraction(args.beta), Fraction(args.gamma))
-    q = float(args.q)
+def _cmd_schedule(args, seed: int, ledger: Ledger) -> int:
+    params = delta_schedule(args.s, _read("--beta", args.beta, Fraction),
+                            _read("--gamma", args.gamma, Fraction))
+    q = _read("--q", args.q, float)
     neg = exponent_negativity(params)
     levels = []
     for ell in range(2, args.s + 1):
@@ -392,61 +378,46 @@ def _cmd_schedule(args) -> int:
         levels.append({"ell": ell, "deltas": [str(x) for x in d],
                        "deltas_float": [float(x) for x in d],
                        "budget_lhs": bc.lhs, "budget_ok": bc.ok})
-    gp = Fraction(args.gamma_prime) if args.gamma_prime else None
+    gp = (_read("--gamma-prime", args.gamma_prime, Fraction)
+          if args.gamma_prime else None)
     rec_state = bound_recursion(params, initial_state(params), q,
                                 gamma_prime=gp, c2_prime=args.c2)
     final = rec_state.states[-1]
-    ledger = Ledger(args.out)
-    rec = _envelope(args, seed, "schedule")
-    rec.update({
-        "s": args.s, "beta": str(params.beta), "gamma": str(params.gamma),
-        "levels": levels,
-        "negativity": {
+    ledger.write(
+        s=args.s, beta=str(params.beta), gamma=str(params.gamma),
+        levels=levels,
+        negativity={
             "all_ok": neg.all_ok,
             "checks": [{"family": c.family, "j": c.j,
                         "exponent": str(c.exponent),
                         "ceiling": str(c.ceiling), "ok": c.ok}
                        for c in neg.checks]},
-        "recursion": {"final_ell": final.ell, "b1": final.b1,
-                      "b2": str(final.b2), "b3": final.b3,
-                      "final_coeff": rec_state.final_coeff,
-                      "u1_exponent": str(rec_state.u1_exponent),
-                      "constants_dropped": rec_state.constants_dropped}})
-    ledger.write(rec)
-    code = 0
-    if not neg.all_ok:
-        bad = [{"family": c.family, "j": c.j, "exponent": str(c.exponent),
-                "ceiling": str(c.ceiling)} for c in neg.checks if not c.ok]
-        code = _fail_exit(ledger, bad)
-    ledger.close()
-    return code
+        recursion={"final_ell": final.ell, "b1": final.b1,
+                   "b2": str(final.b2), "b3": final.b3,
+                   "final_coeff": rec_state.final_coeff,
+                   "u1_exponent": str(rec_state.u1_exponent),
+                   "constants_dropped": rec_state.constants_dropped})
+    return ledger.finish([{"family": c.family, "j": c.j,
+                           "exponent": str(c.exponent),
+                           "ceiling": str(c.ceiling)}
+                          for c in neg.checks if not c.ok])
 
 
-def _cmd_cs_check(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_cs_check(args, seed: int, ledger: Ledger) -> int:
     field = make_field(args.p, args.k)
-    ledger = Ledger(args.out)
-    head = _envelope(args, seed, "cs-check")
     rng = SplitMix64(derive_seed(seed, 0xC5))
     failures = []
     for trial in range(args.trials):
         fs = [_random_two_var(field, rng) for _ in range(args.m + 1)]
         chk = check_cs_inequality(fs, args.s)
-        rec = dict(head)
-        rec.update({"trial": trial, "lhs": chk.lhs, "rhs": chk.rhs,
-                    "holds": chk.holds})
-        ledger.write(rec)
+        ledger.write(trial=trial, lhs=chk.lhs, rhs=chk.rhs, holds=chk.holds)
         if not chk.holds:
             failures.append({"trial": trial, "lhs": chk.lhs, "rhs": chk.rhs})
-    code = _fail_exit(ledger, failures) if failures else 0
-    ledger.close()
-    return code
+    return ledger.finish(failures)
 
 
-def verify_theorem(system, primes, trials: int, density: float, seed: int,
-                   psi=None, allow_below_threshold: bool = False,
-                   ledger: Ledger | None = None, head: dict | None = None):
-    """Empirical main-term/error sweep; returns the summary report dict.
+def _cmd_verify_theorem(args, seed: int, ledger: Ledger) -> int:
+    """Empirical main-term/error sweep across primes.
 
     For each prime and trial, draws a random set A of the given density,
     computes the exact count, the predicted main term (zero when any twist
@@ -454,23 +425,26 @@ def verify_theorem(system, primes, trials: int, density: float, seed: int,
     and finally fits log max-error against log q.  The fit is evidence, not
     proof; records are tagged accordingly.
     """
-    head = dict(head or {"schema": 1})
-    psi = list(psi or [0] * len(system.Q))
+    system = progression_system(
+        [s.strip() for s in args.polys.split(",")],
+        Q=[s.strip() for s in args.qs.split(",")] if args.qs else ())
+    psi = _ints("--psi", args.psi) if args.psi else [0] * len(system.Q)
+    primes = _primes(args.pmin, args.pmax)
     below = [p for p in primes if p < system.threshold]
-    if below and not allow_below_threshold:
+    if below and not args.allow_below_threshold:
         raise ThresholdViolation(
             f"primes {below} lie below the system threshold "
             f"{system.threshold}; pass --allow-below-threshold to proceed")
     max_err: dict[int, float] = {}
-    rows = []
+    rows = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for p in primes:
             field = make_field(p)
             q = field.q
-            for trial in range(trials):
+            for trial in range(args.trials):
                 rng = SplitMix64(derive_seed(seed, p, trial))
-                idx = rng.subset(q, density)
+                idx = rng.subset(q, args.density)
                 n = len(idx)
                 fs = [indicator(field, idx) for _ in range(system.m1 + 1)]
                 if system.m2:
@@ -483,14 +457,10 @@ def verify_theorem(system, primes, trials: int, density: float, seed: int,
                     main = (n / q) ** (system.m1 + 1)
                 scaled_err = abs(value - main) * q * q
                 max_err[p] = max(max_err.get(p, 0.0), scaled_err)
-                row = {"p": p, "trial": trial, "set_size": n,
-                       "value_re": value.real, "value_im": value.imag,
-                       "main_term": main, "scaled_error": scaled_err}
-                rows.append(row)
-                if ledger is not None:
-                    rec = dict(head)
-                    rec.update(row)
-                    ledger.write(rec)
+                ledger.write(p=p, trial=trial, set_size=n,
+                             value_re=value.real, value_im=value.imag,
+                             main_term=main, scaled_error=scaled_err)
+                rows += 1
     pts = [(math.log(p), math.log(e)) for p, e in sorted(max_err.items())
            if e > 0]
     slope = None
@@ -498,76 +468,37 @@ def verify_theorem(system, primes, trials: int, density: float, seed: int,
         xs = np.array([x for x, _ in pts])
         ys = np.array([y for _, y in pts])
         slope = float(np.polyfit(xs, ys, 1)[0])
-    report = {"record": "fit", "points": len(pts), "error_exponent": slope,
-              "note": "empirical evidence only", "rows": len(rows),
-              "below_threshold": below}
-    if ledger is not None:
-        rec = dict(head)
-        rec.update(report)
-        ledger.write(rec)
-    return report
-
-
-def _cmd_verify_theorem(args) -> int:
-    seed = _resolve_seed(args)
-    system = progression_system(
-        [s.strip() for s in args.polys.split(",")],
-        Q=[s.strip() for s in args.qs.split(",")] if args.qs else ())
-    psi = [int(t) for t in args.psi.split(",")] if args.psi else None
-    primes = _primes(args.pmin, args.pmax)
-    ledger = Ledger(args.out)
-    head = _envelope(args, seed, "verify-theorem")
-    try:
-        verify_theorem(system, primes, args.trials, args.density, seed,
-                       psi=psi,
-                       allow_below_threshold=args.allow_below_threshold,
-                       ledger=ledger, head=head)
-    finally:
-        ledger.close()
+    ledger.write(record="fit", points=len(pts), error_exponent=slope,
+                 note="empirical evidence only", rows=rows,
+                 below_threshold=below)
     return 0
 
 
-def _cmd_acceptance(args) -> int:
+def _cmd_acceptance(args, seed: int, ledger: Ledger) -> int:
     from .acceptance import run_all
 
-    seed = _resolve_seed(args)
-    ledger = Ledger(args.out) if args.out and args.out != "-" else None
-    head = _envelope(args, seed, "acceptance")
-    results = []
-    echo = print if not args.quiet else (lambda line: None)
-    for res in run_all(echo=None):
-        results.append(res)
-        echo(res.line())
-        if ledger is not None:
-            rec = dict(head)
-            rec.update({"criterion": res.index, "name": res.name,
-                        "passed": res.passed, "detail": res.detail,
-                        "ms": int(res.seconds * 1000)})
-            ledger.write(rec)
-    failures = [{"criterion": r.index, "name": r.name, "detail": r.detail}
-                for r in results if not r.passed]
-    code = 0
-    if failures:
-        sink = ledger if ledger is not None else Ledger(None)
-        code = _fail_exit(sink, failures)
-        if ledger is None:
-            sink.close()
-    if ledger is not None:
-        ledger.close()
-    return code
+    results = run_all(echo=None if args.quiet else print)
+    # on stdout the PASS/FAIL lines are the report; per-criterion records
+    # go only to an --out file
+    if args.out != "-":
+        for res in results:
+            ledger.write(criterion=res.index, name=res.name,
+                         passed=res.passed, detail=res.detail,
+                         timing={"ms": int(res.seconds * 1000)})
+    return ledger.finish([{"criterion": r.index, "name": r.name,
+                           "detail": r.detail}
+                          for r in results if not r.passed])
 
 
 # --------------------------------------------------------------------------
 # parser construction
 # --------------------------------------------------------------------------
 
-def _add_common(sp, seed=True, out=True):
-    if seed:
-        sp.add_argument("--seed", type=int, default=None,
-                        help="PRNG seed (auto-generated and recorded if absent)")
-    if out:
-        sp.add_argument("--out", default="-",
-                        help="JSON-lines output path ('-' = stdout)")
+def _add_common(sp):
+    sp.add_argument("--seed", type=int, default=None,
+                    help="PRNG seed (auto-generated and recorded if absent)")
+    sp.add_argument("--out", default="-",
+                    help="JSON-lines output path ('-' = stdout)")
     sp.add_argument("--config", default=None,
                     help="JSON file of flag defaults (dashes as underscores)")
 
@@ -745,7 +676,13 @@ def main(argv=None) -> int:
             print(f"ffprog {args.command}: error: missing {flags} "
                   f"(flag or config)", file=sys.stderr)
             return 1
-        return args.func(args)
+        seed = (args.seed if args.seed is not None
+                else int.from_bytes(os.urandom(8), "big"))
+        ledger = Ledger(args, seed)
+        try:
+            return args.func(args, seed, ledger)
+        finally:
+            ledger.close()
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except FFProgError as exc:

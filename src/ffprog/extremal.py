@@ -148,15 +148,23 @@ def _edge_masks(hg: ProgressionHypergraph):
 
 
 def _greedy_mask(order, edges_of, usable: int) -> int:
-    """Deterministic greedy independent set along the given vertex order."""
+    """Deterministic greedy independent set along the given vertex order.
+
+    Each vertex taken forbids the last open vertex of each of its edges
+    (the unit propagation of r_exact), so a vertex is skipped exactly when
+    it would complete an edge, with no scan of its edges.
+    """
     cur = 0
+    forbidden = ~usable
     for v in order:
         vbit = 1 << v
-        if not usable & vbit:
+        if forbidden & vbit:
             continue
-        if any((e & ~cur) == vbit for e in edges_of[v]):
-            continue  # v would complete this edge
         cur |= vbit
+        for e in edges_of[v]:
+            rem = e & ~cur
+            if rem & (rem - 1) == 0:
+                forbidden |= rem
     return cur
 
 

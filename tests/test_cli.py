@@ -7,12 +7,14 @@ reproducibility guarantee are all exercised exactly as a shell user would
 see them.
 """
 
+import itertools
 import json
 import math
 
 import pytest
 
-from ffprog import __version__
+from ffprog import __version__, acceptance
+from ffprog.acceptance import CriterionResult
 from ffprog.cli import main
 from ffprog.errors import BudgetConditionWarning
 from ffprog.rng import derive_seed
@@ -27,10 +29,9 @@ def run_cli(tmp_path, *argv, name="ledger.jsonl"):
 
 
 def scrub(record):
-    """Drop the run-specific fields so two ledgers can be compared."""
-    rec = json.loads(json.dumps(record))  # deep copy
-    rec.get("config", {}).pop("out", None)
-    rec.pop("ms", None)
+    """Drop the wall-clock `timing` key so two ledgers can be compared."""
+    rec = dict(record)
+    rec.pop("timing", None)
     return rec
 
 
@@ -79,7 +80,65 @@ def test_stdout_is_the_default_sink(capsys):
     assert len(lines) == 1
     rec = json.loads(lines[0])
     assert rec["command"] == "count"
-    assert rec["config"]["out"] == "-"
+    assert "out" not in rec["config"]
+
+
+def fake_criterion(index, passed):
+    """An acceptance criterion that reports a new wall time on every call."""
+    calls = itertools.count(1)
+
+    def criterion():
+        return CriterionResult(index, f"stub {index}", passed, "detail",
+                               0.25 * next(calls))
+    return criterion
+
+
+# one run of every subcommand that writes records; CSV marks a --csv path
+ENVELOPE_RUNS = [
+    ("count", ["--p", "7", "--polys", "y", "--set", "random:0.5"], 0),
+    ("norms", ["--p", "7", "--fn", "disk"], 0),
+    ("weil-scan", ["--poly", "y^3", "--pmin", "5", "--pmax", "13",
+                   "--csv", "CSV"], 0),
+    ("base-scan", ["--p1", "y", "--pmin", "31", "--pmax", "31",
+                   "--trials", "1", "--quiet-warnings"], 0),
+    ("extremal", ["--p", "7", "--polys", "y,2y", "--csv", "CSV"], 0),
+    ("decompose", ["--p", "101", "--fn", "phase",
+                   "--deltas", "1/8,1/256,1/128,1/2", "--quiet-warnings"], 2),
+    ("schedule", ["--s", "2", "--beta", "1", "--gamma", "1/2"], 0),
+    ("cs-check", ["--p", "5", "--m", "1", "--s", "2", "--trials", "2"], 0),
+    ("verify-theorem", ["--polys", "y,y^2", "--pmin", "31", "--pmax", "37",
+                        "--trials", "1"], 0),
+    ("acceptance", ["--quiet"], 2),
+]
+
+
+@pytest.mark.parametrize("command,argv,code", ENVELOPE_RUNS,
+                         ids=[run[0] for run in ENVELOPE_RUNS])
+def test_every_record_carries_the_envelope(tmp_path, monkeypatch, command,
+                                           argv, code):
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [fake_criterion(1, True), fake_criterion(2, False)])
+    ledgers = []
+    for name in ("one", "two"):
+        run_argv = [str(tmp_path / f"{name}.csv") if a == "CSV" else a
+                    for a in argv]
+        rc, recs = run_cli(tmp_path, command, *run_argv, "--seed", "5",
+                           name=f"{name}.jsonl")
+        assert rc == code
+        assert recs
+        for rec in recs:
+            assert rec["schema"] == 1
+            assert rec["tool"] == "ffprog"
+            assert rec["version"] == __version__
+            assert rec["command"] == command
+            assert rec["seed"] == 5
+            assert not {"out", "csv", "quiet", "quiet_warnings",
+                        "seed"} & set(rec["config"])
+        if code == 2:
+            assert recs[-1]["record"] == "failures"
+        ledgers.append(recs)
+    # --out and --csv differ between the runs: only `timing` may differ
+    assert [scrub(r) for r in ledgers[0]] == [scrub(r) for r in ledgers[1]]
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +373,7 @@ def test_extremal_records_and_csv(tmp_path):
         assert rec["exact"] is True
         assert len(rec["witness"]) == rec["r"]
         assert rec["nodes"] >= 1
-        assert isinstance(rec["ms"], int)
+        assert isinstance(rec["timing"]["ms"], int)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "q,r,exact,gamma_point"
     assert len(lines) == 3  # first policy only
@@ -478,6 +537,20 @@ def test_cs_check_reruns_are_identical(tmp_path):
 # exit codes, config files, parser plumbing
 # --------------------------------------------------------------------------
 
+# flag values that only the subcommand reads: each must exit 1 with one line
+BAD_VALUES = [
+    ["extremal", "--p", "5,x", "--polys", "y"],
+    ["base-scan", "--p1", "y", "--qs", "y^2", "--psi", "x"],
+    ["verify-theorem", "--polys", "y", "--qs", "y^2", "--psi", "1,x"],
+    ["schedule", "--s", "2", "--beta", "1", "--gamma", "1/2", "--q", "abc"],
+    ["schedule", "--s", "2", "--beta", "abc", "--gamma", "1/2"],
+    ["schedule", "--s", "2", "--beta", "1", "--gamma", "1/2",
+     "--gamma-prime", "1/0"],
+    ["decompose", "--deltas", "1/0,1,1,1"],
+    ["decompose", "--gamma", "x"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--p", "101"],                                # missing --polys
     ["count", "--p", "101", "--polys", "y", "--bogus"],     # unknown flag
@@ -494,12 +567,34 @@ def test_cs_check_reruns_are_identical(tmp_path):
     ["count", "--p", "7", "--polys", "y", "--set", "random:-1"],
     ["count", "--p", "7", "--polys", "y", "--set", "random:abc"],
     ["count", "--p", "7", "--polys", "y", "--set", "explicit:1,x"],
+    *BAD_VALUES,
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path / "x.jsonl")]
               if argv and argv[0] != "nonsense" and argv != [] else argv)
     capsys.readouterr()  # swallow the usage noise
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES)
+def test_bad_flag_values_are_one_line_errors(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path / "x.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1
+    assert err[0].startswith("ffprog: error: bad --")
+
+
+@pytest.mark.parametrize("p,primes", [(31, [31]), ("29,31", [29, 31])])
+def test_config_p_may_be_one_prime_or_a_list(tmp_path, p, primes):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": p, "polys": "y,2y",
+                               "degeneracy": "paper_literal"}))
+    rc, recs = run_cli(tmp_path, "extremal", "--config", str(cfg),
+                       "--seed", "1")
+    assert rc == 0
+    assert [r["p"] for r in recs] == primes
+    assert recs[0]["config"]["p"] == p
 
 
 def test_config_file_supplies_required_flags(tmp_path):

@@ -5,8 +5,12 @@ subset (pure integers, no shared code), and every witness is replayed
 through count_progressions to confirm it really avoids the system.  The
 translation-symmetry break (vertex 0 forced into the search) is checked
 against the full search on relabelled copies that the break cannot apply to,
-and against the sweep on random translation-invariant hypergraphs.
+and against the sweep on random translation-invariant hypergraphs.  The
+greedy pass is checked against its definition (an edge scan per vertex) on
+shuffled orders.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from ffprog.counting import count_progressions
 from ffprog.errors import InsufficientData, InvalidRange, TwistedSystem
 from ffprog.extremal import (ExtremalResult, ProgressionHypergraph,
+                             _edge_masks, _greedy_mask,
                              _translation_invariant, build_hypergraph,
                              gamma_fit, r_exact, r_lower_random)
 from ffprog.field import make_field
@@ -314,6 +319,41 @@ def test_r_lower_random_bounded_by_exact_and_reproducible():
     assert count_progressions(sys, list(lower.witness), "nonzero") == 0
     with pytest.raises(InvalidRange):
         r_lower_random(hg, 0, seed=1)
+
+
+def scan_greedy(order, edges_of, usable):
+    """Greedy by the definition: skip v if some edge of v lacks only v."""
+    cur = 0
+    for v in order:
+        vbit = 1 << v
+        if usable & vbit and not any((e & ~cur) == vbit for e in edges_of[v]):
+            cur |= vbit
+    return cur
+
+
+@pytest.mark.parametrize("p,k,polys,policy,y_rule", [
+    (31, 1, ("y", "y^2"), "paper_literal", "nonzero"),
+    (31, 1, ("y", "y^2"), "distinct_points", "nonzero"),
+    (37, 1, ("y", "2y"), "paper_literal", "nonzero"),
+    (13, 1, ("y", "y^2", "y^3"), "paper_literal", "nonzero"),
+    (7, 1, ("y", "2y"), "paper_literal", "all"),  # every vertex unusable
+    (5, 2, ("y", "y^2"), "paper_literal", "nonzero"),
+    (3, 3, ("y", "2y"), "distinct_points", "nonzero"),
+    (2, 6, ("y", "y^2"), "paper_literal", "nonzero"),
+])
+def test_greedy_mask_matches_edge_scan(p, k, polys, policy, y_rule):
+    hg = build_hypergraph(progression_system(list(polys)), make_field(p, k),
+                          y_rule=y_rule, degeneracy=policy)
+    edges_of, usable = _edge_masks(hg)
+    rng = random.Random(p ** k)
+    orders = [list(range(hg.q))]
+    for _ in range(30):
+        orders.append(orders[0][:])
+        rng.shuffle(orders[-1])
+    for order in orders:
+        got = _greedy_mask(order, edges_of, usable)
+        assert got == scan_greedy(order, edges_of, usable)
+        assert is_independent([v for v in order if got >> v & 1], hg.edges)
 
 
 # -- exponent fits -----------------------------------------------------------------
