@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -325,8 +326,6 @@ def criterion_7() -> CriterionResult:
 # --------------------------------------------------------------------------
 
 def criterion_8() -> CriterionResult:
-    from fractions import Fraction
-
     t0 = time.perf_counter()
     failures = 0
     grids = 0

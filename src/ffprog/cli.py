@@ -25,8 +25,11 @@ Conventions shared by every subcommand:
   top-level `seed` already holds;
 * identical config + seed reproduce identical output except for the
   wall-clock `timing` key;
-* `--config file.json` supplies defaults for any long flag (dashes as
-  underscores); explicit flags win;
+* `--config file.json` holds a JSON object whose entries are read as flags
+  typed right after the subcommand name (dashes as underscores; `true` is a
+  bare switch, `false` and `null` add nothing), so they pass the same checks
+  as typed flags, and explicit flags, typed later, win;
+* `extremal` records count the search's work under one `work` key;
 * exit status: 0 success, 1 usage or input errors, 2 when a checked
   property or bound fails (a machine-readable `failures` record is
   emitted before exiting).
@@ -49,6 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from .acceptance import run_all
 from .counting import (_weil_sweep, base_case_report, count_progressions,
                        lambda_average)
 from .decomposition import (budget, budget_from_schedule,
@@ -128,17 +132,17 @@ class Ledger:
             self._csv_fh.close()
 
 
-def _read(flag: str, value, convert):
-    """`convert(value)` for a flag from argv or --config; bad input exits 1."""
+def _read(flag: str, value: str, convert):
+    """`convert(value)` for a flag's string; bad input exits 1."""
     try:
         return convert(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):
         raise FFProgError(f"bad {flag} value {value!r}") from None
 
 
-def _ints(flag: str, value) -> list[int]:
-    """A comma list of integers; a bare integer from --config is one item."""
-    return _read(flag, value, lambda v: [int(t) for t in str(v).split(",")])
+def _ints(flag: str, value: str) -> list[int]:
+    """A comma list of integers."""
+    return _read(flag, value, lambda v: [int(t) for t in v.split(",")])
 
 
 def _parse_indices(source: str, values, q: int) -> list[int]:
@@ -321,7 +325,7 @@ def _cmd_extremal(args, seed: int, ledger: Ledger) -> int:
                              policy=policy, r=res.r, exact=res.exact,
                              witness=list(res.witness_indices),
                              seed=res.seed if res.seed is not None else seed,
-                             nodes=res.nodes_explored,
+                             work={"nodes": res.nodes_explored},
                              timing={"ms": int(res.wall_time * 1000)})
                 if policy == policies[0]:
                     gamma_point = ""
@@ -475,8 +479,6 @@ def _cmd_verify_theorem(args, seed: int, ledger: Ledger) -> int:
 
 
 def _cmd_acceptance(args, seed: int, ledger: Ledger) -> int:
-    from .acceptance import run_all
-
     results = run_all(echo=None if args.quiet else print)
     # on stdout the PASS/FAIL lines are the report; per-criterion records
     # go only to an --out file
@@ -500,7 +502,7 @@ def _add_common(sp):
     sp.add_argument("--out", default="-",
                     help="JSON-lines output path ('-' = stdout)")
     sp.add_argument("--config", default=None,
-                    help="JSON file of flag defaults (dashes as underscores)")
+                    help="JSON file of flags, read before the typed ones")
 
 
 def build_parser() -> _Parser:
@@ -509,21 +511,19 @@ def build_parser() -> _Parser:
     ap.add_argument("--version", action="version",
                     version=f"ffprog {__version__}")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-    parsers = {}
 
     sp = sub.add_parser("count", help="exact progression count and error")
-    sp.add_argument("--p", type=int, default=None)
+    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--polys", default=None,
+    sp.add_argument("--polys", required=True,
                     help='comma list, e.g. "y,y^2"')
     sp.add_argument("--set", default="random:0.5", help="set source")
     sp.add_argument("--y-rule", choices=("all", "nonzero"), default="all")
     _add_common(sp)
     sp.set_defaults(func=_cmd_count)
-    parsers["count"] = sp
 
     sp = sub.add_parser("norms", help="Gowers norms of a function")
-    sp.add_argument("--p", type=int, default=None)
+    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--s", type=int, default=2)
     sp.add_argument("--fn", default="balanced",
@@ -531,22 +531,20 @@ def build_parser() -> _Parser:
     sp.add_argument("--set", default="random:0.5")
     _add_common(sp)
     sp.set_defaults(func=_cmd_norms)
-    parsers["norms"] = sp
 
     sp = sub.add_parser("weil-scan",
                         help="character-sum sweep vs the square-root bound")
     sp.add_argument("--pmin", type=int, default=5)
     sp.add_argument("--pmax", type=int, default=199)
-    sp.add_argument("--poly", default=None, help='e.g. "y^3"')
+    sp.add_argument("--poly", required=True, help='e.g. "y^3"')
     sp.add_argument("--csv", default=None, help="CSV export path")
     _add_common(sp)
     sp.set_defaults(func=_cmd_weil_scan)
-    parsers["weil-scan"] = sp
 
     sp = sub.add_parser("base-scan", help="base-case average sweep")
     sp.add_argument("--pmin", type=int, default=31)
     sp.add_argument("--pmax", type=int, default=101)
-    sp.add_argument("--p1", default=None, help="progression polynomial")
+    sp.add_argument("--p1", required=True, help="progression polynomial")
     sp.add_argument("--qs", default=None, help="comma list of twist polys")
     sp.add_argument("--psi", default=None,
                     help="comma list of twist character indices")
@@ -555,13 +553,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--quiet-warnings", action="store_true")
     _add_common(sp)
     sp.set_defaults(func=_cmd_base_scan)
-    parsers["base-scan"] = sp
 
     sp = sub.add_parser("extremal", help="progression-free set search")
-    sp.add_argument("--p", default=None,
+    sp.add_argument("--p", required=True,
                     help="prime (or comma list for a sweep)")
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--polys", default=None)
+    sp.add_argument("--polys", required=True)
     sp.add_argument("--y-rule", choices=("all", "nonzero"), default="nonzero")
     sp.add_argument("--degeneracy",
                     choices=("paper_literal", "distinct_points", "both"),
@@ -573,7 +570,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--csv", default=None)
     _add_common(sp)
     sp.set_defaults(func=_cmd_extremal)
-    parsers["extremal"] = sp
 
     sp = sub.add_parser("decompose",
                         help="structured/small/uniform split, certified")
@@ -592,13 +588,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--quiet-warnings", action="store_true")
     _add_common(sp)
     sp.set_defaults(func=_cmd_decompose)
-    parsers["decompose"] = sp
 
     sp = sub.add_parser("schedule",
                         help="delta schedule, sign report, bound recursion")
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--beta", default=None, help="rational in (0,1]")
-    sp.add_argument("--gamma", default=None, help="rational in (0,1]")
+    sp.add_argument("--s", type=int, required=True)
+    sp.add_argument("--beta", required=True, help="rational in (0,1]")
+    sp.add_argument("--gamma", required=True, help="rational in (0,1]")
     sp.add_argument("--q", default="1e8", help="field size for the budget")
     sp.add_argument("--gamma-prime", default=None,
                     help="lower-level exponent for the counting term")
@@ -606,7 +601,6 @@ def build_parser() -> _Parser:
                     help="lower-level constant for the counting term")
     _add_common(sp)
     sp.set_defaults(func=_cmd_schedule)
-    parsers["schedule"] = sp
 
     sp = sub.add_parser("cs-check",
                         help="Cauchy-Schwarz inequality on random instances")
@@ -617,11 +611,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=10)
     _add_common(sp)
     sp.set_defaults(func=_cmd_cs_check)
-    parsers["cs-check"] = sp
 
     sp = sub.add_parser("verify-theorem",
                         help="empirical main-term/error sweep across primes")
-    sp.add_argument("--polys", default=None)
+    sp.add_argument("--polys", required=True)
     sp.add_argument("--qs", default=None)
     sp.add_argument("--psi", default=None)
     sp.add_argument("--pmin", type=int, default=31)
@@ -631,51 +624,57 @@ def build_parser() -> _Parser:
     sp.add_argument("--allow-below-threshold", action="store_true")
     _add_common(sp)
     sp.set_defaults(func=_cmd_verify_theorem)
-    parsers["verify-theorem"] = sp
 
     sp = sub.add_parser("acceptance", help="run the numbered acceptance suite")
     sp.add_argument("--quiet", action="store_true")
     _add_common(sp)
     sp.set_defaults(func=_cmd_acceptance)
-    parsers["acceptance"] = sp
 
-    ap._subparsers_by_name = parsers
     return ap
 
 
-_REQUIRED = {
-    "count": ("p", "polys"),
-    "weil-scan": ("poly",),
-    "base-scan": ("p1",),
-    "extremal": ("p", "polys"),
-    "schedule": ("s", "beta", "gamma"),
-    "verify-theorem": ("polys",),
-}
+def _config_argv(ap, command: str, path: str) -> list[str]:
+    """The entries of the --config file at `path` as argv tokens for `command`.
+
+    Each entry becomes one `--flag=value` token (the `=` form keeps values
+    such as "-y,y^2" whole); `true` becomes the bare switch, `false` and
+    `null` add nothing.
+    """
+    sub = ap._subparsers._group_actions[0]  # argparse's subcommand action
+    if command not in sub.choices:
+        return []  # the parser rejects the command itself
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)
+    except ValueError as exc:  # malformed JSON, or not text at all
+        raise FFProgError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(entries, dict):
+        raise FFProgError(f"{path}: not a JSON object of flag values")
+    known = {a.dest for a in sub.choices[command]._actions} - {"help", "config"}
+    bad = set(entries) - known
+    if bad:
+        raise FFProgError(f"unknown config keys {sorted(bad)} for {command}")
+    tokens = []
+    for key, value in entries.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not False and value is not None:
+            text = value if isinstance(value, str) else json.dumps(value)
+            tokens.append(f"{flag}={text}")
+    return tokens
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
+        pre = _Parser(prog="ffprog", usage=argparse.SUPPRESS, add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv)[0].config
+        if path:  # the file's entries read as flags typed before the user's
+            argv[1:1] = _config_argv(ap, argv[0], path)
         args = ap.parse_args(argv)
-        if args.config:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-            sp = ap._subparsers_by_name[args.command]
-            known = {a.dest for a in sp._actions}
-            bad = set(defaults) - known
-            if bad:
-                raise FFProgError(
-                    f"unknown config keys {sorted(bad)} for {args.command}")
-            sp.set_defaults(**defaults)
-            args = ap.parse_args(argv)  # explicit flags still win
-        missing = [k for k in _REQUIRED.get(args.command, ())
-                   if getattr(args, k) is None]
-        if missing:
-            flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-            print(f"ffprog {args.command}: error: missing {flags} "
-                  f"(flag or config)", file=sys.stderr)
-            return 1
         seed = (args.seed if args.seed is not None
                 else int.from_bytes(os.urandom(8), "big"))
         ledger = Ledger(args, seed)

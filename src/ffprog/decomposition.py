@@ -116,13 +116,14 @@ class Certificates:
     linf_fc: float
     usnorm_fc: float
 
-    def within(self, thresholds, tol: float = _CERT_TOL) -> tuple[bool, ...]:
+    def within(self, thresholds) -> tuple[bool, ...]:
         t_dual, t_l1, t_linf, t_us = thresholds
-        dual_ok = self.dual_bound is not None and self.dual_bound <= t_dual + tol
+        dual_ok = (self.dual_bound is not None
+                   and self.dual_bound <= t_dual + _CERT_TOL)
         return (dual_ok,
-                self.l1_fb <= t_l1 + tol,
-                self.linf_fc <= t_linf + tol,
-                self.usnorm_fc <= t_us + tol)
+                self.l1_fb <= t_l1 + _CERT_TOL,
+                self.linf_fc <= t_linf + _CERT_TOL,
+                self.usnorm_fc <= t_us + _CERT_TOL)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from .counting import poly_index_table
 from .errors import InsufficientData, InvalidRange, TwistedSystem
 from .field import FieldElement, FieldSpec, _periodic, _shifted
 from .polys import ProgressionSystem
+from .rng import SplitMix64
 
 _BITSET_LIMIT = 512
 
@@ -264,8 +265,6 @@ def r_exact(hg: ProgressionHypergraph,
 def r_lower_random(hg: ProgressionHypergraph, iters: int,
                    seed: int) -> ExtremalResult:
     """Best of `iters` randomized greedy passes; reproducible from seed."""
-    from .rng import SplitMix64
-
     q = hg.q
     if q > _BITSET_LIMIT:
         raise InvalidRange(f"bitset search capped at q <= {_BITSET_LIMIT}")

@@ -39,7 +39,7 @@ from .errors import (
     InvalidExponent,
     ShapeMismatch,
 )
-from .field import FieldElement, FieldSpec, _periodic, _shifted
+from .field import FieldElement, FieldSpec, _periodic, _shifted, make_field
 from .rng import SplitMix64
 
 
@@ -306,8 +306,6 @@ def function_to_json(f: DenseFunction) -> dict:
 
 def function_from_json(data: dict, field: FieldSpec | None = None) -> DenseFunction:
     """Inverse of function_to_json; validates against a field if given."""
-    from .field import make_field
-
     if field is None:
         field = make_field(int(data["p"]), int(data.get("k", 1)))
     elif (field.p, field.k) != (int(data["p"]), int(data.get("k", 1))):

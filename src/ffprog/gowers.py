@@ -31,8 +31,12 @@ of Cauchy--Schwarz per differencing step gives
     ||F||_{U^s}^{2^(2s-2)} <= E_{h_1..h_{s-2}} ||F_{h_1..h_{s-2}}||_{U^2}^4,
 
 where F_{h...}(x) = E_y prod_i Delta^{(1)}_{h...} f_i(x, y) differences each
-factor in the first variable.  check_cs_inequality evaluates both sides; at
-s = 2 the two sides are the same expression and agree exactly.
+factor in the first variable.  check_cs_inequality evaluates both sides.
+For the right side it differences every factor's columns y -> f_i(., y)
+s - 2 times in one batch (the same loop as the naive norm), multiplies the
+factors, averages over y to get every F_h at once, and takes one more level
+for their U^2 powers; it holds 2 q^s complex values, which its guard counts.
+At s = 2 the two sides are the same expression and agree exactly.
 
 Errors raised here: BudgetExceeded, NotOneBounded, InvalidRange.
 """
@@ -70,15 +74,14 @@ class GowersNormValue:
                 f"raw U^{self.s} power {self.raw_power} below -{_NEG_TOL}")
 
 
-def _raw_power(field: FieldSpec, values: np.ndarray, s: int) -> float:
-    """Mean over rows of |E_x row(x)|^2 after s - 1 levels of differencing.
+def _differences(field: FieldSpec, rows: np.ndarray, levels: int) -> np.ndarray:
+    """Difference every row of an (n, q) stack `levels` times.
 
     A level turns n rows into q * n; row (h, r) is x -> row_r(x + h)
     conj(row_r(x)).
     """
     p, k, q = field.p, field.k, field.q
-    rows = values.reshape(1, q)
-    for _ in range(s - 1):
+    for _ in range(levels):
         n = rows.shape[0]
         windows = sliding_window_view(_periodic(field, rows.T), (p,) * k,
                                       axis=tuple(range(k)))
@@ -86,6 +89,11 @@ def _raw_power(field: FieldSpec, values: np.ndarray, s: int) -> float:
         np.multiply(windows, np.conj(rows).reshape((n,) + (p,) * k),
                     out=out.reshape((p,) * k + (n,) + (p,) * k))
         rows = out
+    return rows
+
+
+def _mean_square_mean(rows: np.ndarray) -> float:
+    """Mean over rows of |E_x row(x)|^2."""
     means = rows.mean(axis=1)
     return float((means.real ** 2 + means.imag ** 2).mean())
 
@@ -103,7 +111,8 @@ def gowers_norm(f: DenseFunction, s: int, budget: int = DEFAULT_BUDGET) -> Gower
         raise BudgetExceeded(
             f"U^{s} on q = {f.field.q} holds q^s = {held} complex values "
             f"({held * 16 / 2 ** 20:.0f} MiB), over the budget of {budget} values")
-    raw = _raw_power(f.field, f.values, s)
+    raw = _mean_square_mean(
+        _differences(f.field, f.values.reshape(1, f.field.q), s - 1))
     raw = max(raw, 0.0)
     return GowersNormValue(s, raw ** (1.0 / (1 << s)), raw)
 
@@ -171,19 +180,25 @@ def check_cs_inequality(fs, s: int, budget: int = DEFAULT_BUDGET) -> CsCheck:
         raise InvalidRange(f"reduction defined for s >= 2, got {s}")
     field = fs[0].field
     q = field.q
-    est_ops = (len(fs) + 1) * q ** s
-    if est_ops > budget:
-        raise BudgetExceeded(f"estimated {est_ops} operations exceed {budget}")
+    held = 2 * q ** s
+    if held > budget:
+        raise BudgetExceeded(
+            f"CS check at s = {s} on q = {q} holds 2 q^s = {held} complex "
+            f"values ({held * 16 / 2 ** 20:.0f} MiB), over the budget of "
+            f"{budget} values")
     _check_one_bounded(fs)
 
     F = cs_project(fs, [])
     lhs = gowers_norm(F, s, budget).raw_power ** (1 << (s - 2))
 
-    def rhs_sum(hs_prefix: list[int], depth: int) -> float:
-        if depth == s - 2:
-            return gowers_norm(cs_project(fs, hs_prefix), 2, budget).raw_power
-        return float(np.mean([rhs_sum(hs_prefix + [h], depth + 1)
-                              for h in range(q)]))
-
-    rhs = rhs_sum([], 0)
+    # every factor's columns y -> f(., y), differenced s - 2 times in x:
+    # row (h_{s-2}, .., h_1, y) of prod is prod_i Delta_{h...} f_i(., y)
+    prod = np.ones((q ** (s - 1), q), dtype=np.complex128)
+    for f in fs:
+        prod *= _differences(field, f.values.T, s - 2)
+    # F_h(x) = E_y prod: the y axis moved last, so each row of F_hs
+    # averages exactly as cs_project does
+    F_hs = np.ascontiguousarray(
+        prod.reshape(-1, q, q).transpose(0, 2, 1)).mean(axis=2)
+    rhs = _mean_square_mean(_differences(field, F_hs, 1))
     return CsCheck(s, lhs, rhs, lhs <= rhs + 1e-9, q ** (s - 2))

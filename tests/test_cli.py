@@ -372,7 +372,7 @@ def test_extremal_records_and_csv(tmp_path):
         assert rec["system"] == "[y, 2y]"
         assert rec["exact"] is True
         assert len(rec["witness"]) == rec["r"]
-        assert rec["nodes"] >= 1
+        assert rec["work"]["nodes"] >= 1
         assert isinstance(rec["timing"]["ms"], int)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "q,r,exact,gamma_point"
@@ -594,7 +594,75 @@ def test_config_p_may_be_one_prime_or_a_list(tmp_path, p, primes):
                        "--seed", "1")
     assert rc == 0
     assert [r["p"] for r in recs] == primes
-    assert recs[0]["config"]["p"] == p
+    assert recs[0]["config"]["p"] == str(p)
+
+
+def config_entries(argv):
+    """The flags of `argv` as --config entries: integers as JSON numbers,
+    bare switches as true, everything else as strings."""
+    entries = {}
+    for i, token in enumerate(argv):
+        if token.startswith("--"):
+            value = argv[i + 1] if i + 1 < len(argv) else None
+            if value is None or value.startswith("--"):
+                value = True
+            elif value.lstrip("-").isdigit():
+                value = int(value)
+            entries[token[2:].replace("-", "_")] = value
+    return entries
+
+
+@pytest.mark.parametrize("command,argv,code", ENVELOPE_RUNS,
+                         ids=[run[0] for run in ENVELOPE_RUNS])
+def test_config_file_runs_write_the_argv_records(tmp_path, monkeypatch,
+                                                 command, argv, code):
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [fake_criterion(1, True), fake_criterion(2, False)])
+    argv = [str(tmp_path / "run.csv") if a == "CSV" else a for a in argv]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config_entries(argv)))
+    rc_flags, by_flags = run_cli(tmp_path, command, *argv, "--seed", "5",
+                                 name="flags.jsonl")
+    rc_file, by_file = run_cli(tmp_path, command, "--config", str(cfg),
+                               "--seed", "5", name="file.jsonl")
+    assert rc_flags == rc_file == code
+    assert [scrub(r) for r in by_flags] == [scrub(r) for r in by_file]
+
+
+# --config values that argparse's type/choices checks, or the subcommand,
+# must refuse exactly as it refuses the same typed flag
+BAD_CONFIGS = [
+    ("extremal", {"p": 7, "polys": "y,2y", "method": "bogus"}),
+    ("count", {"p": 7, "polys": "y", "seed": 1.5}),
+    ("count", {"p": 7, "polys": 5}),
+    ("count", {"p": 7, "polys": "y", "set": 5}),
+    ("base-scan", {"p1": "y", "pmin": 31, "pmax": 31, "trials": 2.5}),
+    ("decompose", {"quiet_warnings": "no"}),
+    ("count", '{"p": 7, "polys": "y"'),                     # bad JSON
+    ("count", "5"),                                         # not an object
+]
+
+
+@pytest.mark.parametrize("command,entries", BAD_CONFIGS)
+def test_bad_config_values_exit_1(tmp_path, capsys, command, entries):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(entries if isinstance(entries, str) else json.dumps(entries))
+    rc = main([command, "--config", str(cfg),
+               "--out", str(tmp_path / "x.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(("ffprog: error: ",
+                                            f"ffprog {command}: error: "))
+
+
+def test_config_value_may_start_with_a_dash(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 7, "polys": "-y,y^2", "set": "all"}))
+    rc, recs = run_cli(tmp_path, "count", "--config", str(cfg), "--seed", "1")
+    assert rc == 0
+    assert recs[0]["system"] == "[-y, y^2]"
+    assert recs[0]["count"] == 49
 
 
 def test_config_file_supplies_required_flags(tmp_path):

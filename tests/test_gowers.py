@@ -231,6 +231,34 @@ def test_cs_inequality_holds_at_s3():
             assert chk.projections == q
 
 
+@pytest.mark.parametrize("p,k,s", [(5, 1, 3), (7, 1, 3), (3, 2, 3),
+                                   (2, 3, 3), (5, 1, 4)])
+def test_cs_rhs_matches_one_projection_per_h(p, k, s):
+    # oracle: the per-h route, one cs_project and one U^2 norm for each of
+    # the q^(s-2) shift tuples
+    field = make_field(p, k)
+    fs = [two_var_rand(field, 40 + 3 * i + s) for i in range(3)]
+    chk = check_cs_inequality(fs, s)
+    oracle = np.mean([gowers_norm(cs_project(fs, hs), 2).raw_power
+                      for hs in product(range(field.q), repeat=s - 2)])
+    assert chk.rhs == pytest.approx(oracle, rel=1e-12, abs=0)
+    assert chk.lhs == gowers_norm(cs_project(fs, []), s).raw_power ** (
+        1 << (s - 2))
+    assert chk.holds
+
+
+@pytest.mark.parametrize("p,k", [(11, 1), (3, 2), (13, 1)])
+def test_cs_sides_are_bit_equal_at_s2(p, k):
+    # both sides are ||E_y prod f_i||_{U^2}^4, evaluated the same way; at
+    # q >= 8 numpy sums a contiguous row pairwise, so the y average must
+    # run along the last axis on both sides
+    field = make_field(p, k)
+    for seed in range(3):
+        fs = [two_var_rand(field, 70 + seed), two_var_rand(field, 80 + seed)]
+        chk = check_cs_inequality(fs, 2)
+        assert chk.lhs == chk.rhs
+
+
 def test_cs_guardrails():
     F = two_var_rand(F7, 20)
     with pytest.raises(InvalidRange):
@@ -243,3 +271,14 @@ def test_cs_guardrails():
         check_cs_inequality([two_var_rand(F7, 21, scale=3.0)], 2)
     with pytest.raises(BudgetExceeded):
         check_cs_inequality([F], 3, budget=100)
+
+
+def test_cs_guard_states_the_values_it_holds():
+    # the product of the differenced factors and one more factor's
+    # differences: 2 q^s complex values at once
+    fs = [two_var_rand(F7, 22), two_var_rand(F7, 23)]
+    with pytest.raises(BudgetExceeded,
+                       match=r"s = 4 on q = 7 holds 2 q\^s = 4802 complex "
+                             r"values \(0 MiB\), over the budget of 4801"):
+        check_cs_inequality(fs, 4, budget=4801)
+    assert check_cs_inequality(fs, 4, budget=4802).holds
