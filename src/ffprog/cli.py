@@ -450,15 +450,11 @@ def _cmd_verify_theorem(args, seed: int, ledger: Ledger) -> int:
                 rng = SplitMix64(derive_seed(seed, p, trial))
                 idx = rng.subset(q, args.density)
                 n = len(idx)
-                fs = [indicator(field, idx) for _ in range(system.m1 + 1)]
-                if system.m2:
-                    gs = [character_function(field, a) for a in psi]
-                    value = lambda_average(system, fs, gs)
-                    trivial = all(a == 0 for a in psi)
-                    main = (n / q) ** (system.m1 + 1) if trivial else 0.0
-                else:
-                    value = lambda_average(system, fs)
-                    main = (n / q) ** (system.m1 + 1)
+                fs = [indicator(field, idx)] * (system.m1 + 1)
+                gs = [character_function(field, a) for a in psi]
+                value = lambda_average(system, fs, gs)
+                trivial = all(a == 0 for a in psi)
+                main = (n / q) ** (system.m1 + 1) if trivial else 0.0
                 scaled_err = abs(value - main) * q * q
                 max_err[p] = max(max_err.get(p, 0.0), scaled_err)
                 ledger.write(p=p, trial=trial, set_size=n,

@@ -53,20 +53,22 @@ from .errors import (
 )
 
 _TABLE_LIMIT = 4096  # largest q for which dense q x q tables may be built
+_MR_EXACT_BELOW = 3317044064679887385961981  # psi_13 (bases 2..37 reach only psi_12 ~ 3.18e23)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin on bases 2..41, exact for all n < psi_13 ~ 3.3e24."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for small in bases:
         if n % small == 0:
             return n == small
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -81,7 +83,7 @@ def is_prime(n: int) -> bool:
 
 # --------------------------------------------------------------------------
 # polynomial arithmetic over F_p on plain coefficient lists (constant first),
-# used only for modulus validation and the canonical-modulus search
+# used for modulus validation, the canonical-modulus search and FieldElement
 # --------------------------------------------------------------------------
 
 def _trim(a: list[int]) -> list[int]:
@@ -136,12 +138,16 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, in increasing order; trial division
+    stops at a prime cofactor below is_prime's exact bound."""
     out, f = [], 2
-    while f * f <= n:
+    done = n < _MR_EXACT_BELOW and is_prime(n)
+    while not done and f * f <= n:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
+            done = n < _MR_EXACT_BELOW and is_prime(n)
         f += 1
     if n > 1:
         out.append(n)
@@ -386,12 +392,9 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        raw = [0] * (2 * self.field.k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    raw[i + j] += a * b
-        return FieldElement(self.field, self.field._reduce(raw))
+        f = self.field
+        return FieldElement(f, f._reduce(
+            _pmul(self.coeffs, other.coeffs, f.modulus, f.p)))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero:
@@ -402,14 +405,8 @@ class FieldElement:
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        f = self.field
+        return FieldElement(f, f._reduce(_ppow(self.coeffs, e, f.modulus, f.p)))
 
 
 # --------------------------------------------------------------------------

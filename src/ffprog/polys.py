@@ -10,9 +10,11 @@ rational arithmetic at construction time, never with floats.
 
 Linear independence of (R_1, ..., R_m) is certified by a nonvanishing m x m
 minor of the (d+1) x m coefficient matrix (rows = powers of y, columns =
-polynomials): the certificate records the chosen rows and the exact
-determinant.  If no minor is nonzero, a rational dependence witness
-lambda with sum(lambda_i R_i) = 0 is produced instead (canonicalized to a
+polynomials): the lexicographically first row basis, found by one exact
+elimination of the rows in order, whose determinant is read off the
+pivots.  The certificate records the chosen rows and that determinant.  If
+fewer than m rows are independent, a rational dependence witness lambda
+with sum(lambda_i R_i) = 0 is produced instead (canonicalized to a
 primitive integer vector whose first nonzero entry is positive).
 
 The safe-characteristic threshold derived from a certificate with
@@ -34,7 +36,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 
 from .errors import (
@@ -235,109 +236,65 @@ class DependenceWitness:
     coefficients: tuple[int, ...]
 
 
-def _exact_det(matrix: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    m[col], m[r] = m[r], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
-
-
-def _kernel_vector(cols: list[list[int]]) -> tuple[int, ...]:
-    """A nonzero rational kernel vector of the column matrix, canonicalized.
-
-    cols[j] is the coefficient column of polynomial j.  Returns a primitive
-    integer vector with positive first nonzero entry.
-    """
-    m = len(cols)
-    rows = len(cols[0])
-    a = [[Fraction(cols[j][i]) for j in range(m)] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pivot = a[r][c]
-        a[r] = [x / pivot for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    free = next(c for c in range(m) if c not in pivot_cols)
-    vec = [Fraction(0)] * m
-    vec[free] = Fraction(1)
-    for pr, pc in pivots:
-        vec[pc] = -a[pr][free]
-    # clear denominators, divide by gcd, fix sign
-    denom = lcm(*[f.denominator for f in vec])
-    ints = [int(f * denom) for f in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 def independence_certificate(polys):
     """Certify Q-linear independence or exhibit a dependence.
 
-    Returns an IndependenceCertificate (first nonvanishing m x m minor in
-    lexicographic row order, exact Bareiss determinant) or a
-    DependenceWitness.
+    One exact elimination over the rows of A (A[i][j] = coefficient of y^i
+    in polys[j]), in row order, keeps a row when it is independent of the
+    rows kept before it; by the matroid greedy argument the kept rows are
+    the lexicographically first nonvanishing m x m minor.  Its determinant
+    is the product of the kept rows' pivots times the sign of their pivot
+    columns' order.  With fewer than m rows kept, the reduced rows are
+    RREF(A), and its first free column gives the DependenceWitness.
     """
     polys = list(polys)
     if not polys:
         raise EmptyInput("independence of an empty system")
     m = len(polys)
-    d = max((p.degree for p in polys), default=-1)
-    if d < 0 or m > d + 1:
-        # zero polys present, or more polys than available dimensions
-        return DependenceWitness(_dependence(polys))
-    cols = [[p.coefficient(i) for i in range(d + 1)] for p in polys]
-    for rows in combinations(range(d + 1), m):
-        minor = [[cols[j][i] for j in range(m)] for i in rows]
-        det = _exact_det(minor)
-        if det != 0:
-            return IndependenceCertificate(rows, det)
-    return DependenceWitness(_dependence(polys))
-
-
-def _dependence(polys: list[IntPoly]) -> tuple[int, ...]:
     for i, p in enumerate(polys):
         if p.is_zero:  # unit vector on a zero polynomial
-            vec = [0] * len(polys)
-            vec[i] = 1
-            return tuple(vec)
+            return DependenceWitness(tuple(int(j == i) for j in range(m)))
     d = max(p.degree for p in polys)
-    cols = [[p.coefficient(i) for i in range(d + 1)] for p in polys]
-    witness = _kernel_vector(cols)
+    basis: dict[int, list[Fraction]] = {}  # pivot column -> reduced row
+    rows, det = [], Fraction(1)
+    for i in range(d + 1):
+        row = [Fraction(p.coefficient(i)) for p in polys]
+        for c, b in basis.items():
+            if row[c]:
+                f = row[c]
+                row = [x - f * y for x, y in zip(row, b)]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        det *= row[c]
+        row = [x / row[c] for x in row]
+        for k, b in basis.items():  # keep every kept row reduced at c
+            if b[c]:
+                f = b[c]
+                basis[k] = [x - f * y for x, y in zip(b, row)]
+        basis[c] = row
+        rows.append(i)
+        if len(rows) == m:
+            cols = list(basis)  # pivot columns in kept-row order
+            inversions = sum(a > b for k, a in enumerate(cols)
+                             for b in cols[k + 1:])
+            assert det.denominator == 1
+            return IndependenceCertificate(
+                tuple(rows), (-1) ** inversions * int(det))
+    free = next(j for j in range(m) if j not in basis)
+    vec = [-basis[j][free] if j in basis else Fraction(int(j == free))
+           for j in range(m)]
+    # clear denominators, divide by gcd, fix sign
+    denom = lcm(*[f.denominator for f in vec])
+    ints = [int(f * denom) for f in vec]
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
+    if next(x for x in ints if x) < 0:
+        ints = [-x for x in ints]
     # exactness check: the witness really kills the system
     for i in range(d + 1):
-        assert sum(w * c[i] for w, c in zip(witness, cols)) == 0
-    return witness
+        assert sum(w * p.coefficient(i) for w, p in zip(ints, polys)) == 0
+    return DependenceWitness(tuple(ints))
 
 
 def characteristic_threshold(cert) -> int:

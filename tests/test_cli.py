@@ -352,6 +352,15 @@ def test_verify_theorem_refuses_primes_below_threshold(tmp_path, capsys):
     assert "--allow-below-threshold" in err
 
 
+def test_verify_theorem_refuses_psi_without_twists(tmp_path, capsys):
+    rc = main(["verify-theorem", "--polys", "y,y^2", "--psi", "3",
+               "--pmin", "31", "--pmax", "31", "--trials", "1",
+               "--out", str(tmp_path / "v.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == ["ffprog: error: need 0 twist functions, got 1"]
+
+
 # --------------------------------------------------------------------------
 # extremal
 # --------------------------------------------------------------------------

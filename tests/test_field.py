@@ -13,8 +13,9 @@ import pytest
 
 from ffprog.errors import (DegreeMismatch, DivisionByZero, FieldMismatch,
                            InvalidRange, NotPrime, ReducibleModulus)
-from ffprog.field import (FieldSpec, _periodic, _shifted, character_eval,
-                          enumerate_elements, field_arith, make_field, trace)
+from ffprog.field import (FieldSpec, _periodic, _prime_factors, _shifted,
+                          character_eval, enumerate_elements, field_arith,
+                          is_prime, make_field, trace)
 from ffprog.rng import SplitMix64
 
 FIELDS = [make_field(2), make_field(7), make_field(2, 3), make_field(3, 2),
@@ -259,3 +260,32 @@ def test_fieldspec_equality_ignores_caches():
     F2 = make_field(5, 2)
     assert F1 == F2
     assert isinstance(F1, FieldSpec)
+
+
+# -- primality and factoring -------------------------------------------------
+
+def trial_division(n):
+    """Distinct prime factors of n by trial division up to sqrt(n)."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
+def test_is_prime_and_prime_factors_match_trial_division():
+    for n in range(1, 10 ** 5):
+        factors = _prime_factors(n)
+        assert factors == trial_division(n), n
+        assert is_prime(n) == (factors == [n]), n
+
+
+def test_is_prime_rejects_strong_pseudoprime_to_bases_up_to_37():
+    psi_12 = 318665857834031151167461  # smallest such, below psi_13
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert is_prime(41)

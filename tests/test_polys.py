@@ -1,12 +1,17 @@
 """Integer polynomials, parsing, and independence certification.
 
-The independence machinery is checked against an in-file rational-rank
-oracle (Gauss-Jordan over Fraction), so a certificate/witness answer is
-never trusted on its own; witnesses are also verified exactly against
-the defining relation sum(w_i P_i) = 0.
+The independence machinery is checked against in-file oracles: a
+rational-rank Gauss-Jordan over Fraction, and the all-minors search (every
+m x m minor in lexicographic row order, Bareiss determinants) with a
+Gauss-Jordan kernel vector that the certificate must match bit for bit.
+Witnesses are also verified exactly against the defining relation
+sum(w_i P_i) = 0.
 """
 
+import time
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -21,28 +26,83 @@ from ffprog.polys import (DependenceWitness, IndependenceCertificate, IntPoly,
 from ffprog.rng import SplitMix64
 
 
-# -- oracle ------------------------------------------------------------------
+# -- oracles -----------------------------------------------------------------
+
+def rref(cols):
+    """Gauss-Jordan over Fraction of the matrix whose columns are the lists.
+
+    Returns the reduced rows and the (row, column) pivot positions.
+    """
+    rows = len(cols[0])
+    a = [[Fraction(cols[j][i]) for j in range(len(cols))] for i in range(rows)]
+    pivots = []
+    for c in range(len(cols)):
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append((r, c))
+    return a, pivots
+
 
 def rational_rank(cols):
     """Rank of the integer matrix whose columns are the given lists."""
-    if not cols:
-        return 0
-    rows = len(cols[0])
-    a = [[Fraction(cols[j][i]) for j in range(len(cols))] for i in range(rows)]
-    rank = 0
-    for c in range(len(cols)):
-        pivot = next((r for r in range(rank, rows) if a[r][c] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pv = a[rank][c]
-        a[rank] = [x / pv for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
+    return len(rref(cols)[1]) if cols else 0
+
+
+def bareiss_det(matrix):
+    """Bareiss fraction-free determinant of a square integer matrix."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for col in range(n - 1):
+        if m[col][col] == 0:
+            for r in range(col + 1, n):
+                if m[r][col] != 0:
+                    m[col], m[r] = m[r], m[col]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for r in range(col + 1, n):
+            for c in range(col + 1, n):
+                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
+            m[r][col] = 0
+        prev = m[col][col]
+    return sign * m[n - 1][n - 1]
+
+
+def oracle_certificate(polys):
+    """(rows, det) of the first nonvanishing minor, or the witness tuple."""
+    m = len(polys)
+    for i, p in enumerate(polys):
+        if p.is_zero:
+            return tuple(int(j == i) for j in range(m))
+    cols = columns(polys)
+    for rows in combinations(range(len(cols[0])), m):
+        det = bareiss_det([[cols[j][i] for j in range(m)] for i in rows])
+        if det != 0:
+            return rows, det
+    a, pivots = rref(cols)
+    pivot_cols = {c for _, c in pivots}
+    free = next(c for c in range(m) if c not in pivot_cols)
+    vec = [Fraction(int(c == free)) for c in range(m)]
+    for pr, pc in pivots:
+        vec[pc] = -a[pr][free]
+    denom = lcm(*[f.denominator for f in vec])
+    ints = [int(f * denom) for f in vec]
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
+    first = next(x for x in ints if x != 0)
+    return tuple(-x for x in ints) if first < 0 else tuple(ints)
 
 
 def columns(polys):
@@ -54,6 +114,14 @@ def random_poly(rng, max_degree=5, max_coeff=6):
     degree = 1 + rng.randrange(max_degree)
     coeffs = [rng.randrange(2 * max_coeff + 1) - max_coeff for _ in range(degree + 1)]
     return int_poly(coeffs)
+
+
+def combination(coeffs, polys):
+    """sum(c_i P_i) as an IntPoly."""
+    out = int_poly([])
+    for c, p in zip(coeffs, polys):
+        out = out + c * p
+    return out
 
 
 # -- IntPoly basics ------------------------------------------------------------
@@ -206,9 +274,7 @@ def test_certificate_witness_battery_against_rank_oracle():
         if trial % 3 == 0 and m >= 2:
             # plant a dependence: last poly = integer combination of others
             mix = [rng.randrange(5) - 2 for _ in polys[:-1]]
-            planted = int_poly([])
-            for c, p in zip(mix, polys[:-1]):
-                planted = planted + c * p
+            planted = combination(mix, polys[:-1])
             if planted.is_zero:
                 planted = polys[0]
             polys[-1] = planted
@@ -226,17 +292,73 @@ def test_certificate_witness_battery_against_rank_oracle():
             assert isinstance(result, DependenceWitness)
             w = result.coefficients
             assert any(w)
-            combo = int_poly([])
-            for c, p in zip(w, polys):
-                combo = combo + c * p
-            assert combo.is_zero  # witness kills the system exactly
+            assert combination(w, polys).is_zero  # witness kills the system exactly
     assert seen_cert > 30 and seen_wit > 30
+
+
+def test_certificate_matches_all_minors_oracle_battery():
+    """Rows, determinant and witness equal the all-minors search's."""
+    rng = SplitMix64(20180206)
+    seen = dict.fromkeys(("cert", "witness", "kernel2", "zero", "wide"), 0)
+    for trial in range(600):
+        kind = trial % 5
+        m = 1 + rng.randrange(5)
+        # small coefficients make many leading minors vanish
+        polys = [random_poly(rng, max_degree=6, max_coeff=1 + trial % 3)
+                 for _ in range(m)]
+        if kind == 1 and m >= 2:  # one planted dependence
+            mix = [rng.randrange(5) - 2 for _ in polys[:-1]]
+            polys[-1] = combination(mix, polys[:-1])
+        elif kind == 2 and m >= 3:  # two: a kernel of dimension >= 2
+            for j in (m - 2, m - 1):
+                mix = [rng.randrange(5) - 2 for _ in polys[:m - 2]]
+                polys[j] = combination(mix, polys[:m - 2])
+        elif kind == 3:
+            polys.insert(rng.randrange(m + 1), int_poly([]))
+        elif kind == 4:  # more polynomials than powers of y
+            d = 1 + rng.randrange(3)
+            polys = [int_poly([rng.randrange(7) - 3 for _ in range(d + 1)])
+                     for _ in range(d + 2 + rng.randrange(2))]
+        if all(p.is_zero for p in polys):
+            polys.append(parse_poly("y"))
+        expect = oracle_certificate(polys)
+        got = independence_certificate(polys)
+        if isinstance(got, IndependenceCertificate):
+            seen["cert"] += 1
+            assert (got.rows, got.determinant) == expect, polys
+        else:
+            seen["witness"] += 1
+            assert got.coefficients == expect, polys
+        cols = columns(polys)
+        seen["kernel2"] += len(polys) - rational_rank(cols) >= 2
+        seen["zero"] += any(p.is_zero for p in polys)
+        seen["wide"] += len(polys) > len(cols[0])
+    assert min(seen.values()) >= 50, seen
+
+
+def test_certificate_of_high_monomials_is_pinned():
+    polys = [f"y^{d}" for d in range(11, 21)]
+    start = time.perf_counter()
+    system = progression_system(polys)
+    assert time.perf_counter() - start < 0.1
+    assert system.certificate == IndependenceCertificate(
+        tuple(range(11, 21)), 1)
+    assert system.threshold == 2
 
 
 def test_more_polys_than_dimensions_is_dependent():
     wit = independence_certificate([parse_poly("y"), parse_poly("2y"),
                                     parse_poly("3y")])
     assert isinstance(wit, DependenceWitness)
+
+
+@pytest.mark.parametrize("det", [10 ** 16 + 61, 10 ** 18 + 3])
+def test_threshold_of_a_large_prime_determinant_is_immediate(det):
+    start = time.perf_counter()
+    system = progression_system(["y", f"{det}y^2"])
+    assert time.perf_counter() - start < 0.1
+    assert system.certificate.determinant == det
+    assert system.threshold == det + 1
 
 
 def test_characteristic_threshold_inputs():
