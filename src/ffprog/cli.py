@@ -90,7 +90,8 @@ class Ledger:
     """One run's JSON-lines sink (plus optional CSV), flushed per record.
 
     It owns the envelope every record starts with: schema, tool, version,
-    command, the result-changing config and the seed.
+    command, the result-changing config and the seed.  Files open at the
+    first record (CSV rows wait till then), so a refused run leaves them be.
     """
 
     def __init__(self, args, seed: int):
@@ -99,16 +100,24 @@ class Ledger:
         self._head = {"schema": 1, "tool": "ffprog", "version": __version__,
                       "command": args.command, "config": config,
                       "seed": seed}
-        self._own = args.out not in (None, "-")
-        self._fh = open(args.out, "w") if self._own else sys.stdout
-        self._csv_fh = None
-        self._csv = None
-        if getattr(args, "csv", None):
-            self._csv_fh = open(args.csv, "w", newline="")
-            self._csv = csv.writer(self._csv_fh)
+        self._out = None if args.out in (None, "-") else args.out
+        self._csv_path = getattr(args, "csv", None)
+        self._fh = self._csv_fh = self._csv = None
+        self._rows = []
+
+    def open(self):
+        """Open the sinks, truncating the files, unless already open."""
+        if self._fh is None:
+            self._fh = open(self._out, "w") if self._out else sys.stdout
+            if self._csv_path:
+                self._csv_fh = open(self._csv_path, "w", newline="")
+                self._csv = csv.writer(self._csv_fh)
+                self._csv.writerows(self._rows)
+                self._csv_fh.flush()
 
     def write(self, **fields):
         """Write one record: the envelope, then `fields` (which may override)."""
+        self.open()
         record = {**self._head, **fields}
         self._fh.write(json.dumps(record, separators=(", ", ": ")) + "\n")
         self._fh.flush()
@@ -117,6 +126,8 @@ class Ledger:
         if self._csv is not None:
             self._csv.writerow(row)
             self._csv_fh.flush()
+        elif self._csv_path:
+            self._rows.append(row)
 
     def finish(self, failures) -> int:
         """Record the failed checks, if any; return the exit code, 0 or 2."""
@@ -126,7 +137,7 @@ class Ledger:
         return 2
 
     def close(self):
-        if self._own:
+        if self._out and self._fh is not None:
             self._fh.close()
         if self._csv_fh is not None:
             self._csv_fh.close()
@@ -167,8 +178,6 @@ def _parse_set(source: str, field, seed: int):
             density = float(density_s)
         except ValueError:
             raise FFProgError(f"bad density in set source {source!r}") from None
-        if not 0.0 <= density <= 1.0:
-            raise FFProgError(f"set density must lie in [0, 1], got {density_s}")
         if seed_s:
             if not seed_s.startswith("seed") or not seed_s[4:].isdigit():
                 raise FFProgError(f"bad set source {source!r}")
@@ -675,7 +684,9 @@ def main(argv=None) -> int:
                 else int.from_bytes(os.urandom(8), "big"))
         ledger = Ledger(args, seed)
         try:
-            return args.func(args, seed, ledger)
+            code = args.func(args, seed, ledger)
+            ledger.open()  # a finished run leaves exactly its own records
+            return code
         finally:
             ledger.close()
     except SystemExit as exc:

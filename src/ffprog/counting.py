@@ -8,9 +8,11 @@ The central object is the multilinear average over F_q x F_q
 
 attached to a validated system (P; Q).  With every f_i = 1_A and no twist,
 q^2 * Lambda counts the pairs (x, y) whose whole progression {x, x+P_i(y)}
-lies in A; the exhaustive integer path lives in count_progressions,
-deliberately separate from the float kernel so each audits the other.  The
-expected main term for an untwisted average of indicators is
+lies in A.  One kernel, _y_sums, gives S(y) = sum_x f_0(x) prod_i
+f_i(x + P_i(y)) for every y in its inputs' dtype: Lambda weights S by the
+twists, and count_progressions sums it on int64 indicators, exactly.  The
+tests' pure-integer count oracle and direct double-loop averages audit it.
+The expected main term for an untwisted average of indicators is
 (|A|/q)^(m1+1), i.e. counts of order |A|^(m1+1) / q^(m1-1).
 
 Exact identities connect twisted and plain averages; twist_rewrite_check
@@ -20,8 +22,8 @@ splitting psi(u + v) = psi(u) psi(v) gives the absorption identities:
 * k = 0:   Lambda_P^Q(F; Psi)
              = Lambda_{P+Q}(f_0 prod_j conj(psi_j), f_1, .., f_{m1}, psi_1, ..),
   the psi_j entering as ordinary functions in the slots shifted by Q_j;
-* k = m1:  the same with the twist pushed to the other end:
-             f_{m1} -> f_{m1} prod_j conj(psi_j) and Q_j -> Q_j + P_{m1};
+* k = m1:  the same at the other end, f_{m1} -> f_{m1} prod_j conj(psi_j)
+  and Q_j -> Q_j + P_{m1} (slot k takes the twists, Q_j shifts by P_k);
 * 1 <= k <= m1 (shift): substituting x -> x - P_k(y) turns the average
   into one over [-P_k] + [P_i - P_k : i != k], with f_k promoted to the
   untranslated slot and f_0 demoted to the slot shifted by -P_k.
@@ -44,8 +46,9 @@ DegenerateCombination rather than returning a vacuous bound).
 
 Errors raised here: ArityMismatch, FieldMismatch, TwistedSystem,
 IndexOutOfRange, DegenerateCombination, ElementOutOfField, EmptyInput,
-InvalidRange.  Counting with a characteristic below the system threshold
-warns (CharacteristicWarning) but still computes exactly.
+InvalidRange, and base_case_report's DependentSystem, ZeroPolynomial and
+NonzeroConstantTerm.  A characteristic below the system threshold warns
+(CharacteristicWarning) but still computes exactly.
 """
 
 from __future__ import annotations
@@ -69,13 +72,7 @@ from .errors import (
 from .field import FieldElement, FieldSpec, _periodic, _shifted
 from .functions import (DenseFunction, _as_index, _indicator_values,
                         character_function, indicator)
-from .polys import (
-    DependenceWitness,
-    IntPoly,
-    ProgressionSystem,
-    characteristic_threshold,
-    independence_certificate,
-)
+from .polys import IntPoly, ProgressionSystem, progression_system
 
 _WEIL_TOL = 1e-12
 
@@ -102,27 +99,27 @@ def poly_index_table(poly: IntPoly, field: FieldSpec) -> np.ndarray:
     return _eval_rows(field, rows) @ field._place_values()
 
 
-def _lambda_raw(field: FieldSpec, P, F_values, Q, G_values) -> complex:
-    """The double average on trusted inputs: no validation, no warnings.
-
-    P, Q: lists of IntPoly; F_values: m1+1 dense arrays (f_0 first);
-    G_values: m2 dense arrays.  Deterministic y-ascending summation.
-    """
-    q = field.q
-    p_tables = [poly_index_table(p, field) for p in P]
-    q_tables = [poly_index_table(s, field) for s in Q]
+def _y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
+    """S(y) = sum_x f_0(x) prod_i f_i(x + P_i(y)) for every y, F_values
+    f_0 first, in their dtype (int64 indicators give exact counts)."""
+    tables = [poly_index_table(p, field) for p in P]
     f0 = F_values[0].reshape((field.p,) * field.k)
     exts = [_periodic(field, fv) for fv in F_values[1:]]
-    acc = 0.0 + 0.0j
-    for yi in range(q):
+    sums = np.empty(field.q, dtype=np.result_type(*F_values))
+    for yi in range(field.q):
         prod = f0
-        for tbl, ext in zip(p_tables, exts):
+        for tbl, ext in zip(tables, exts):
             prod = prod * _shifted(field, ext, int(tbl[yi]))
-        term = prod.sum()
-        for tbl, gv in zip(q_tables, G_values):
-            term = term * gv[int(tbl[yi])]
-        acc += term
-    return complex(acc / (q * q))
+        sums[yi] = prod.sum()
+    return sums
+
+
+def _lambda_raw(field: FieldSpec, P, F_values, Q=(), G_values=()) -> complex:
+    """The double average on trusted inputs: no validation, no warnings."""
+    terms = _y_sums(field, P, F_values)
+    for poly, gv in zip(Q, G_values):
+        terms = terms * gv[poly_index_table(poly, field)]
+    return complex(terms.sum() / (field.q * field.q))
 
 
 # --------------------------------------------------------------------------
@@ -194,17 +191,8 @@ def count_progressions(system: ProgressionSystem, A, y_rule: str = "all",
         raise InvalidRange(f"y_rule must be 'all' or 'nonzero', got {y_rule!r}")
     field = _resolve_field(A, field)
     ind = _indicator_values(field, A, np.int64)
-    ext = _periodic(field, ind)
-    ind = ind.reshape((field.p,) * field.k)
-    tables = [poly_index_table(p, field) for p in system.P]
-    total = 0
-    start = 1 if y_rule == "nonzero" else 0
-    for yi in range(start, field.q):
-        prod = ind
-        for tbl in tables:
-            prod = prod * _shifted(field, ext, int(tbl[yi]))
-        total += int(prod.sum())
-    return total
+    sums = _y_sums(field, system.P, [ind] * (system.m1 + 1))
+    return int(sums[1 if y_rule == "nonzero" else 0:].sum())
 
 
 @dataclass(frozen=True)
@@ -269,12 +257,9 @@ def twist_rewrite_check(system: ProgressionSystem, F, Psi, k: int,
     P_{m1}); 1 <= k <= m1 with mode='shift' (the default for k >= 1)
     performs the bare substitution x -> x - P_k(y).
     """
-    F = list(F)
+    F, Psi = list(F), list(Psi)
     if len(F) != system.m1 + 1:
         raise ArityMismatch(f"need {system.m1 + 1} shift functions, got {len(F)}")
-    Psi = list(Psi)
-    if len(Psi) != system.m2:
-        raise ArityMismatch(f"need {system.m2} twist characters, got {len(Psi)}")
     if not 0 <= k <= system.m1:
         raise IndexOutOfRange(f"k must lie in [0, {system.m1}], got {k}")
     if mode is None:
@@ -285,38 +270,22 @@ def twist_rewrite_check(system: ProgressionSystem, F, Psi, k: int,
         raise IndexOutOfRange("absorb mode needs k = 0 or k = m1")
     if mode == "shift" and k == 0:
         raise IndexOutOfRange("shift mode needs 1 <= k <= m1")
-
     field = F[0].field
-    fv = _validate_functions(field, F, "F")
-    cv = [character_function(field, a).values for a in Psi]
-    _warn_characteristic(system, field)
-
+    chars = [character_function(field, a) for a in Psi]
+    lhs = lambda_average(system, F, chars)  # checks arity and field, warns
+    fv, cv = [f.values for f in F], [c.values for c in chars]
     P, Q = list(system.P), list(system.Q)
-    lhs = _lambda_raw(field, P, fv, Q, cv)
-
-    if mode == "absorb" and k == 0:
-        new_f0 = fv[0]
+    if mode == "absorb":  # slot k takes the twists, each Q_j shifts by P_k
+        slot = fv[k]
         for c in cv:
-            new_f0 = new_f0 * np.conj(c)
-        rhs = _lambda_raw(field, P + Q, [new_f0] + fv[1:] + cv, [], [])
-    elif mode == "absorb":
-        new_fm = fv[-1]
-        for c in cv:
-            new_fm = new_fm * np.conj(c)
-        shifted_Q = [qp + P[-1] for qp in Q]
-        rhs = _lambda_raw(field, P + shifted_Q, fv[:-1] + [new_fm] + cv, [], [])
-    else:
-        rhs = _shift_identity_rhs(field, P, fv, Q, cv, k)
-    return RewriteCheck(lhs, complex(rhs), mode, k)
-
-
-def _shift_identity_rhs(field, P, F_values, Q, G_values, k: int) -> complex:
-    """Average after substituting x -> x - P_k(y) (k is 1-indexed)."""
-    pk = P[k - 1]
-    new_P = [-pk] + [P[i] - pk for i in range(len(P)) if i != k - 1]
-    rest = [F_values[i + 1] for i in range(len(P)) if i != k - 1]
-    return _lambda_raw(field, new_P, [F_values[k], F_values[0]] + rest,
-                       Q, G_values)
+            slot = slot * np.conj(c)
+        moved = [qp + P[k - 1] for qp in Q] if k else Q
+        rhs = _lambda_raw(field, P + moved, fv[:k] + [slot] + fv[k + 1:] + cv)
+    else:  # x -> x - P_k(y): f_k untranslated, f_0 shifted by -P_k
+        pk, rest = P[k - 1], [i for i in range(1, len(fv)) if i != k]
+        rhs = _lambda_raw(field, [-pk] + [P[i - 1] - pk for i in rest],
+                          [fv[k], fv[0]] + [fv[i] for i in rest], Q, cv)
+    return RewriteCheck(lhs, rhs, mode, k)
 
 
 # --------------------------------------------------------------------------
@@ -338,34 +307,25 @@ class BaseCaseReport:
 def base_case_report(P1: IntPoly, Qs, F, Psi) -> BaseCaseReport:
     """E_{x,y} f_0(x) f_1(x + P_1(y)) prod_j psi_j(Q_j(y)) vs its main term.
 
-    Requires [P_1] + Qs independent (DependentSystem otherwise).  The main
-    term is (E f_0)(E f_1) when every twist is trivial and 0 otherwise; the
-    report carries |error| * sqrt(q), the observable constant in the
-    O(q^(-1/2)) estimate.
+    progression_system([P_1], Q=Qs) refuses a zero polynomial
+    (ZeroPolynomial), a nonzero constant term (NonzeroConstantTerm) or a
+    repeat; a dependent system raises DependentSystem.  lambda_average
+    checks arity and field and warns below the threshold.  The main term is
+    (E f_0)(E f_1) when every twist is trivial and 0 otherwise; |error| *
+    sqrt(q) is the observable constant in the O(q^(-1/2)) estimate.
     """
-    F = list(F)
+    F, Psi = list(F), list(Psi)
     if len(F) != 2:
         raise ArityMismatch(f"base case takes exactly two functions, got {len(F)}")
-    Qs = list(Qs)
-    Psi = list(Psi)
-    if len(Psi) != len(Qs):
-        raise ArityMismatch("one character per twist polynomial")
+    system = progression_system([P1], Q=Qs)
+    if not system.is_independent:
+        raise DependentSystem(
+            f"dependence witness lambda = {system.dependence.coefficients}")
     field = F[0].field
-    fv = _validate_functions(field, F, "F")
-    cert = independence_certificate([P1] + Qs)
-    if isinstance(cert, DependenceWitness):
-        raise DependentSystem(f"dependence witness lambda = {cert.coefficients}")
-    threshold = characteristic_threshold(cert)
-    if field.p < threshold:
-        warnings.warn(
-            f"characteristic {field.p} below base-case threshold {threshold}",
-            CharacteristicWarning,
-            stacklevel=2,
-        )
-    chars = [character_function(field, a).values for a in Psi]
-    value = _lambda_raw(field, [P1], fv, Qs, chars)
+    value = lambda_average(system, F,
+                           [character_function(field, a) for a in Psi])
     trivial = all(_as_index(field, a) == 0 for a in Psi)
-    main = complex(fv[0].mean() * fv[1].mean()) if trivial else 0j
+    main = complex(F[0].values.mean() * F[1].values.mean()) if trivial else 0j
     error = value - main
     return BaseCaseReport(value, main, error,
                           abs(error) * field.q ** 0.5, trivial, field.q)

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field as _dc_field
-from itertools import product
+from itertools import count, product, zip_longest
+from math import gcd
 
 import numpy as np
 
@@ -138,57 +139,79 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, in increasing order; trial division
-    stops at a prime cofactor below is_prime's exact bound."""
-    out, f = [], 2
-    done = n < _MR_EXACT_BELOW and is_prime(n)
-    while not done and f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-            done = n < _MR_EXACT_BELOW and is_prime(n)
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """Distinct prime factors of n >= 1, in increasing order.
+
+    Trial division takes out the factors below 100 and goes on while the
+    cofactor is at or above is_prime's exact bound; below it, a composite
+    cofactor is split by Pollard's rho until is_prime certifies every part.
+    """
+    out, f = set(), 2
+    while f * f <= n and (f < 100 or n >= _MR_EXACT_BELOW):
+        if n % f:
+            f += 1
+        else:
+            out.add(f)
+            n //= f
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if f * f > m or is_prime(m):  # m has no factor below f
+            out.add(m)
+        else:
+            d = _rho(m)
+            parts += [d, m // d]
+    return sorted(out)
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n: Brent's Pollard rho on
+    y -> y^2 + c for c = 1, 2, ..., with gcds batched over 128 steps."""
+    for c in count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x, done = y, 0
+            for _ in range(r):
+                y = (y * y + c) % n
+            while done < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g, done = gcd(acc, n), done + 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(x - saved, n)
+        if g != n:
+            return g
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p.
-
-    Degree <= 3: reducibility forces a linear factor, so a root check
-    suffices.  Higher degree: distinct-degree criterion -- t^(p^k) = t
-    mod f, and gcd(t^(p^(k/r)) - t, f) = 1 for every prime r | k.
+    """Rabin's test for a monic f of degree k over F_p, every k alike: f is
+    irreducible iff t^(p^k) = t and gcd(t^(p^(k/r)) - t, f) = 1 for every
+    prime r | k, with t and its powers reduced mod f (for k = 1, t = -c_0).
     """
-    k = len(coeffs) - 1
-    if k == 1:
-        return True
-    if k <= 3:
-        return all(
-            sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p != 0
-            for x in range(p)
-        )
-    m = list(coeffs)
-    t = [0, 1]
-    frob = _ppow(t, p ** k, m, p)
-    if _trim(list(frob)) != t:
+    m, k = list(coeffs), len(coeffs) - 1
+    t = _pmod([0, 1], m, p)
+    if _ppow(t, p ** k, m, p) != t:
         return False
     for r in _prime_factors(k):
         sub = _ppow(t, p ** (k // r), m, p)
-        diff = list(sub)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        if len(_pgcd(diff, m, p)) - 1 != 0:
+        diff = [a - b for a, b in zip_longest(sub, t, fillvalue=0)]
+        if len(_pgcd(diff, m, p)) != 1:
             return False
     return True
 
 
 def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree k over F_p."""
-    for tail in product(range(p), repeat=k):
-        cand = tuple(tail) + (1,)
+    """Lexicographically smallest monic irreducible of degree k over F_p:
+    tails (c_0, .., c_{k-1}) run as the base-p digits of one counter, and
+    for k > 1 those with c_0 = 0 are skipped, since t divides them."""
+    places = [p ** (k - 1 - i) for i in range(k)]
+    for n in range(0 if k == 1 else places[0], p ** k):
+        cand = tuple(n // v % p for v in places) + (1,)
         if _is_irreducible(cand, p):
             return cand
     raise ReducibleModulus(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover

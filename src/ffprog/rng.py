@@ -24,7 +24,8 @@ the package contract:
 * ``unit_disk()`` -- rejection sampling of (2u-1) + (2v-1)i over the square
   until inside the closed unit disk; u, v successive ``random()`` draws.
 * ``subset(n, density)`` -- index i is included iff ``random() < density``,
-  for i = 0..n-1 in order.
+  for i = 0..n-1 in order; a density outside [0, 1] (nan included) raises
+  InvalidRange before any draw.
 
 Seed derivation for independent experiment cells is also fixed here:
 ``derive_seed(base, k1, k2, ...)`` folds each key into the state with the
@@ -32,6 +33,8 @@ same finalizer, so cell streams are decorrelated but reproducible.
 """
 
 from __future__ import annotations
+
+from .errors import InvalidRange
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -93,4 +96,6 @@ class SplitMix64:
 
     def subset(self, n: int, density: float) -> list[int]:
         """Indices i in [0, n) kept independently with the given density."""
+        if not 0.0 <= density <= 1.0:
+            raise InvalidRange(f"density must lie in [0, 1], got {density}")
         return [i for i in range(n) if self.random() < density]

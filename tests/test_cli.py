@@ -546,6 +546,44 @@ def test_cs_check_reruns_are_identical(tmp_path):
 # exit codes, config files, parser plumbing
 # --------------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    # below the threshold: refused before any record
+    ["verify-theorem", "--polys", "2y,3y^2", "--pmin", "2", "--pmax", "3"],
+    # refused after the CSV header is queued: 4 is not prime
+    ["extremal", "--p", "4", "--polys", "y,y^2", "--csv", "CSV"],
+    ["weil-scan", "--poly", "y^", "--csv", "CSV"],
+], ids=["verify-theorem", "extremal", "weil-scan"])
+def test_refused_run_leaves_existing_files_byte_for_byte(tmp_path, capsys,
+                                                         argv):
+    out, csv_path = tmp_path / "t1.jsonl", tmp_path / "t1.csv"
+    out.write_bytes(b'{"earlier": 1}\n')
+    csv_path.write_bytes(b"earlier,row\r\n")
+    argv = [str(csv_path) if a == "CSV" else a for a in argv]
+    rc = main(argv + ["--seed", "1", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 1
+    assert out.read_bytes() == b'{"earlier": 1}\n'
+    assert csv_path.read_bytes() == b"earlier,row\r\n"
+
+
+def test_finished_run_leaves_exactly_its_own_records(tmp_path):
+    out, csv_path = tmp_path / "t1.jsonl", tmp_path / "t1.csv"
+    for path in (out, csv_path):
+        path.write_text("earlier\n" * 3)
+    # an empty prime range: exit 0, no records, only the CSV header
+    rc = main(["weil-scan", "--poly", "y^3", "--pmin", "10", "--pmax", "5",
+               "--seed", "1", "--out", str(out), "--csv", str(csv_path)])
+    assert rc == 0
+    assert out.read_text() == ""
+    assert csv_path.read_text().splitlines() == ["p,max_scaled,bound"]
+    # a run with records replaces the old contents with them alone
+    rc, recs = run_cli(tmp_path, "weil-scan", "--poly", "y^3", "--pmin", "5",
+                       "--pmax", "7", "--seed", "1", "--csv", str(csv_path),
+                       name="t1.jsonl")
+    assert rc == 0
+    assert [r["p"] for r in recs] == [5, 7]
+    assert len(csv_path.read_text().splitlines()) == 3
+
 # flag values that only the subcommand reads: each must exit 1 with one line
 BAD_VALUES = [
     ["extremal", "--p", "5,x", "--polys", "y"],
@@ -577,12 +615,43 @@ BAD_VALUES = [
     ["count", "--p", "7", "--polys", "y", "--set", "random:abc"],
     ["count", "--p", "7", "--polys", "y", "--set", "explicit:1,x"],
     *BAD_VALUES,
+    ["verify-theorem", "--polys", "y,y^2", "--pmin", "31", "--pmax", "37",
+     "--trials", "1", "--density", "2.5"],
+    ["base-scan", "--p1", "y", "--pmin", "31", "--pmax", "31",
+     "--density", "-1"],
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path / "x.jsonl")]
               if argv and argv[0] != "nonsense" and argv != [] else argv)
     capsys.readouterr()  # swallow the usage noise
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--p", "7", "--polys", "y", "--set", "random:1.5"],
+    ["verify-theorem", "--polys", "y,y^2", "--pmin", "31", "--pmax", "37",
+     "--trials", "1", "--density", "2.5"],
+    ["base-scan", "--p1", "y", "--pmin", "31", "--pmax", "31",
+     "--density", "-1"],
+    ["base-scan", "--p1", "y", "--pmin", "31", "--pmax", "31",
+     "--density", "nan"],
+], ids=["set-source", "verify-theorem", "base-scan", "base-scan-nan"])
+def test_density_outside_unit_interval_is_one_line_error(tmp_path, capsys,
+                                                         argv):
+    rc = main(argv + ["--out", str(tmp_path / "x.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [err[0]] and "density must lie in [0, 1]" in err[0]
+
+
+@pytest.mark.parametrize("p1,qs", [("y + 1", "y^2"), ("y", "y^2 + 2")])
+def test_base_scan_refuses_a_nonzero_constant_term(tmp_path, capsys, p1, qs):
+    rc = main(["base-scan", "--p1", p1, "--qs", qs, "--psi", "1",
+               "--pmin", "31", "--pmax", "31",
+               "--out", str(tmp_path / "x.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [err[0]] and "does not vanish at y = 0" in err[0]
 
 
 @pytest.mark.parametrize("argv", BAD_VALUES)

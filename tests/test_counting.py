@@ -1,10 +1,13 @@
 """Counting operators, rewrite identities, base case, character sums.
 
-count_progressions is validated against an in-file pure-integer oracle
-(two nested loops, explicit membership tests, no numpy) -- exhaustively
-over every subset of F_5 and on seeded random sets at larger primes.
-The rewrite identities are exact algebraic facts, so both sides must
-agree to near machine precision on random inputs.
+count_progressions and lambda_average share one kernel, so each is
+validated against an in-file oracle that shares none of its tables:
+counts against a pure-integer loop (explicit membership tests, no numpy)
+-- exhaustively over every subset of F_5 and on seeded random sets at
+larger primes -- and Lambda against a double loop over field elements
+(FieldElement arithmetic and character_eval).  The rewrite identities are
+exact algebraic facts, so both sides must agree to near machine precision
+on random inputs.
 """
 
 import warnings
@@ -15,8 +18,9 @@ import pytest
 from ffprog.errors import (ArityMismatch, CharacteristicWarning,
                            DegenerateCombination, DependentSystem,
                            ElementOutOfField, EmptyInput, FieldMismatch,
-                           IndexOutOfRange, InvalidRange, TwistedSystem)
-from ffprog.field import make_field
+                           IndexOutOfRange, InvalidRange, NonzeroConstantTerm,
+                           TwistedSystem, ZeroPolynomial)
+from ffprog.field import character_eval, make_field
 from ffprog.functions import (character_function, dense_function, indicator,
                               random_one_bounded)
 from ffprog.counting import (BaseCaseReport, LambdaResult, WeilSum,
@@ -42,6 +46,27 @@ def oracle_count(poly_coeffs, p, A, y_rule="all"):
             if all((x + s) % p in A for s in shifts):
                 total += 1
     return total
+
+
+def direct_lambda(system, F, Psi):
+    """E_{x,y} f_0(x) prod_i f_i(x + P_i(y)) prod_j psi_j(Q_j(y)) as a
+    double loop over field elements: polynomials by reduce_and_eval,
+    translation by FieldElement addition, characters by character_eval."""
+    field = F[0].field
+    els = field.elements()
+    chars = [field.element_at(a) for a in Psi]
+    total = 0j
+    for y in els:
+        shifts = [reduce_and_eval(P, field, y) for P in system.P]
+        twist = 1
+        for a, Q in zip(chars, system.Q):
+            twist *= character_eval(field, a, reduce_and_eval(Q, field, y))
+        for x in els:
+            term = F[0].values[x.index]
+            for f, e in zip(F[1:], shifts):
+                term *= f.values[(x + e).index]
+            total += term * twist
+    return total / field.q ** 2
 
 
 SYSTEMS = {
@@ -157,6 +182,21 @@ def test_lambda_twisted_matches_direct_sum():
     assert abs(got - direct / 49) < 1e-12
 
 
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 3)])
+@pytest.mark.parametrize("Q", [[], ["y^3", "y^4"]], ids=["plain", "two_twists"])
+def test_lambda_matches_element_double_loop(p, k, Q):
+    field = make_field(p, k)
+    rng = SplitMix64(700 + p)
+    sys = progression_system(["y", "y^2"], Q)
+    F = [random_one_bounded(field, rng) for _ in range(3)]
+    Psi = [1 + rng.randrange(field.q - 1) for _ in Q]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CharacteristicWarning)
+        got = lambda_average(sys, F, [character_function(field, a)
+                                      for a in Psi])
+    assert abs(got - direct_lambda(sys, F, Psi)) < 1e-12
+
+
 def test_lambda_arity_and_field_errors():
     field = make_field(7)
     f = indicator(field, {1})
@@ -232,6 +272,22 @@ def test_rewrite_identities_exact(k, mode):
         assert chk.mode == ("absorb" if (mode == "absorb" or k == 0) else "shift")
 
 
+@pytest.mark.parametrize("k,mode", [(0, "absorb"), (3, "absorb"),
+                                    (1, "shift"), (2, "shift"), (3, "shift")])
+def test_rewrite_identities_on_gf9(k, mode):
+    field = make_field(3, 2)
+    rng = SplitMix64(90 + k)
+    sys = progression_system(["y", "y^2", "y^5"], ["y^3", "y^4"])
+    F = [random_one_bounded(field, rng) for _ in range(4)]
+    Psi = [1 + rng.randrange(field.q - 1) for _ in range(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CharacteristicWarning)
+        chk = twist_rewrite_check(sys, F, Psi, k, mode=mode)
+    assert abs(chk.lhs - direct_lambda(sys, F, Psi)) < 1e-12
+    assert chk.abs_diff < 1e-12
+    assert (chk.k, chk.mode) == (k, mode)
+
+
 def test_rewrite_mode_validation():
     sys, F, Psi = rewrite_case(0)
     with pytest.raises(IndexOutOfRange):
@@ -296,6 +352,29 @@ def test_base_case_errors_and_warning():
     f3 = indicator(make_field(3), {1})
     with pytest.warns(CharacteristicWarning):
         base_case_report(parse_poly("2y"), [parse_poly("3y^2")], [f3, f3], [1])
+
+
+def test_base_case_refuses_what_progression_system_refuses():
+    f = indicator(make_field(7), {1, 2})
+    with pytest.raises(NonzeroConstantTerm):
+        base_case_report(parse_poly("y + 1"), [], [f, f], [])
+    with pytest.raises(NonzeroConstantTerm):
+        base_case_report(parse_poly("y"), [parse_poly("y^2 + 3")], [f, f], [1])
+    with pytest.raises(ZeroPolynomial):
+        base_case_report(int_poly([0]), [parse_poly("y^2")], [f, f], [1])
+    with pytest.raises(DependentSystem):  # a repeat
+        base_case_report(parse_poly("y^2"), [parse_poly("y^2")], [f, f], [1])
+
+
+def test_base_case_twisted_matches_element_double_loop():
+    field = make_field(3, 2)
+    rng = SplitMix64(313)
+    f0 = random_one_bounded(field, rng)
+    f1 = random_one_bounded(field, rng)
+    rep = base_case_report(parse_poly("y"), [parse_poly("y^2")], [f0, f1], [4])
+    sys = progression_system(["y"], ["y^2"])
+    assert abs(rep.value - direct_lambda(sys, [f0, f1], [4])) < 1e-12
+    assert rep.main_term == 0 and not rep.trivial_twist
 
 
 # -- Weil sums --------------------------------------------------------------------------

@@ -8,14 +8,19 @@ tables are frozen: they are part of the cross-implementation contract
 experiment downstream).
 """
 
+import math
+import time
+from itertools import product
+
 import numpy as np
 import pytest
 
 from ffprog.errors import (DegreeMismatch, DivisionByZero, FieldMismatch,
                            InvalidRange, NotPrime, ReducibleModulus)
-from ffprog.field import (FieldSpec, _periodic, _prime_factors, _shifted,
-                          character_eval, enumerate_elements, field_arith,
-                          is_prime, make_field, trace)
+from ffprog.field import (_MR_EXACT_BELOW, FieldSpec, _is_irreducible,
+                          _periodic, _prime_factors, _shifted, character_eval,
+                          enumerate_elements, field_arith, is_prime,
+                          make_field, trace)
 from ffprog.rng import SplitMix64
 
 FIELDS = [make_field(2), make_field(7), make_field(2, 3), make_field(3, 2),
@@ -82,6 +87,34 @@ def test_canonical_moduli_frozen():
     assert make_field(7, 2).modulus == (1, 0, 1)        # t^2 + 1
     assert make_field(3, 2).modulus == (1, 0, 1)
     assert make_field(2, 2).modulus == (1, 1, 1)
+
+
+def has_no_root(coeffs, p):
+    """Root scan: a polynomial of degree 2 or 3 is irreducible iff it has
+    no root in F_p (and every degree-1 polynomial is irreducible)."""
+    return len(coeffs) == 2 or all(
+        sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
+        for x in range(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_rabin_test_matches_root_scan_on_degrees_1_to_3(p):
+    for k in (1, 2, 3):
+        monic = [tail + (1,) for tail in product(range(p), repeat=k)]
+        for coeffs in monic:
+            assert _is_irreducible(coeffs, p) == has_no_root(coeffs, p), coeffs
+        # the canonical modulus is the first monic irreducible in lex order
+        assert make_field(p, k).modulus == next(
+            c for c in monic if has_no_root(c, p))
+
+
+@pytest.mark.parametrize("p,k,modulus", [(1000003, 2, (1, 0, 1)),
+                                         (100003, 3, (1, 0, 1, 1))])
+def test_canonical_modulus_of_a_large_prime_is_fast(p, k, modulus):
+    start = time.perf_counter()
+    field = make_field(p, k)
+    assert time.perf_counter() - start < 0.5
+    assert field.modulus == modulus  # t^2 + 1 and t^3 + t^2 + 1
 
 
 def test_enumeration_order_prime_field_is_identity():
@@ -281,6 +314,26 @@ def test_is_prime_and_prime_factors_match_trial_division():
         factors = _prime_factors(n)
         assert factors == trial_division(n), n
         assert is_prime(n) == (factors == [n]), n
+
+
+def test_prime_factors_of_planted_products():
+    # 2-4 primes below 10^9 (repeats allowed), so most cofactors left
+    # after trial division are composite and go to Pollard's rho.  Only
+    # products below is_prime's exact bound count: at or above it the
+    # factoring is trial division to the end, by design.
+    rng = SplitMix64(9001)
+    tried = 0
+    while tried < 200:
+        primes = []
+        for _ in range(2 + rng.randrange(3)):
+            n = 2 + rng.randrange(10 ** (3 + rng.randrange(7)) - 2)
+            while not is_prime(n):
+                n -= 1
+            primes.append(n)
+        n = math.prod(primes)
+        if n < _MR_EXACT_BELOW:
+            tried += 1
+            assert _prime_factors(n) == sorted(set(primes)), primes
 
 
 def test_is_prime_rejects_strong_pseudoprime_to_bases_up_to_37():

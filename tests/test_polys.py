@@ -361,6 +361,20 @@ def test_threshold_of_a_large_prime_determinant_is_immediate(det):
     assert system.threshold == det + 1
 
 
+@pytest.mark.parametrize("det,threshold", [
+    (10000019 * 10000079, 10000080),
+    (1000000007 * 1000000009, 1000000010),
+])
+def test_threshold_of_two_large_prime_factors_is_immediate(det, threshold):
+    # trial division would run up to the smaller factor; Pollard's rho
+    # splits the cofactor and is_prime certifies both parts
+    start = time.perf_counter()
+    system = progression_system(["y", f"{det}y^2"])
+    assert time.perf_counter() - start < 0.1
+    assert system.certificate.determinant == det
+    assert system.threshold == threshold
+
+
 def test_characteristic_threshold_inputs():
     sys_ind = progression_system(["2y", "3y^2"])
     assert characteristic_threshold(sys_ind) == 4

@@ -7,6 +7,9 @@ words bit for bit, so the first outputs from small seeds are frozen.
 
 import math
 
+import pytest
+
+from ffprog.errors import InvalidRange
 from ffprog.rng import SplitMix64, derive_seed
 
 # reference sequence for the standard update rule, seed 0
@@ -81,6 +84,14 @@ def test_subset_density_and_reproducibility():
     # density 0 and 1 are the trivial subsets
     assert SplitMix64(1).subset(50, 0.0) == []
     assert sorted(SplitMix64(1).subset(50, 1.0)) == list(range(50))
+
+
+@pytest.mark.parametrize("density", [-0.1, 1.5, math.nan])
+def test_subset_refuses_a_density_outside_the_unit_interval(density):
+    r = SplitMix64(8)
+    with pytest.raises(InvalidRange):
+        r.subset(10, density)
+    assert r.state == SplitMix64(8).state  # refused before any draw
 
 
 def test_derive_seed_folds_all_keys():
