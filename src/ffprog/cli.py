@@ -53,8 +53,8 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .counting import (_weil_sweep, base_case_report, count_progressions,
-                       lambda_average)
+from .counting import (_base_case_system, _weil_sweep, base_case_report,
+                       count_progressions, lambda_average)
 from .decomposition import (budget, budget_from_schedule,
                             u2_threshold_decompose, verify_decomposition)
 from .errors import FFProgError, ThresholdViolation
@@ -290,6 +290,7 @@ def _cmd_base_scan(args, seed: int, ledger: Ledger) -> int:
     p1 = parse_poly(args.p1)
     qs = ([parse_poly(s.strip()) for s in args.qs.split(",")]
           if args.qs else [])
+    _base_case_system(p1, qs)  # refused up front, even for an empty range
     psi = _ints("--psi", args.psi) if args.psi else [0] * len(qs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore" if args.quiet_warnings else "default")

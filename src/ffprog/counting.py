@@ -304,6 +304,15 @@ class BaseCaseReport:
     q: int
 
 
+def _base_case_system(P1: IntPoly, Qs) -> ProgressionSystem:
+    """progression_system([P1], Q=Qs), refused unless independent."""
+    system = progression_system([P1], Q=Qs)
+    if not system.is_independent:
+        raise DependentSystem(
+            f"dependence witness lambda = {system.dependence.coefficients}")
+    return system
+
+
 def base_case_report(P1: IntPoly, Qs, F, Psi) -> BaseCaseReport:
     """E_{x,y} f_0(x) f_1(x + P_1(y)) prod_j psi_j(Q_j(y)) vs its main term.
 
@@ -317,10 +326,7 @@ def base_case_report(P1: IntPoly, Qs, F, Psi) -> BaseCaseReport:
     F, Psi = list(F), list(Psi)
     if len(F) != 2:
         raise ArityMismatch(f"base case takes exactly two functions, got {len(F)}")
-    system = progression_system([P1], Q=Qs)
-    if not system.is_independent:
-        raise DependentSystem(
-            f"dependence witness lambda = {system.dependence.coefficients}")
+    system = _base_case_system(P1, Qs)
     field = F[0].field
     value = lambda_average(system, F,
                            [character_function(field, a) for a in Psi])

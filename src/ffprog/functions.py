@@ -157,13 +157,12 @@ def random_one_bounded(field: FieldSpec, rng) -> DenseFunction:
     """
     if isinstance(rng, int):
         rng = SplitMix64(rng)
-    return DenseFunction(
-        field, np.array([rng.unit_disk() for _ in range(field.q)]))
+    return DenseFunction(field, rng.unit_disk_block(field.q))
 
 
 def _random_phase(field: FieldSpec, rng: SplitMix64) -> DenseFunction:
     """x -> exp(2 pi i u_x), one uniform draw u_x per point in order."""
-    u = np.array([rng.random() for _ in range(field.q)])
+    u = rng.random_block(field.q)
     return DenseFunction(field, np.exp(2j * np.pi * u))
 
 
@@ -182,7 +181,7 @@ def _random_spike(field: FieldSpec, rng: SplitMix64) -> tuple[DenseFunction, int
 def _random_two_var(field: FieldSpec, rng: SplitMix64) -> TwoVarFunction:
     """(x, y) -> one unit-disk draw per point, drawn row by row."""
     q = field.q
-    vals = np.array([rng.unit_disk() for _ in range(q * q)]).reshape(q, q)
+    vals = rng.unit_disk_block(q * q).reshape(q, q)
     return TwoVarFunction(field, vals)
 
 

@@ -654,6 +654,20 @@ def test_base_scan_refuses_a_nonzero_constant_term(tmp_path, capsys, p1, qs):
     assert err == [err[0]] and "does not vanish at y = 0" in err[0]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--p1", "y+1"], "does not vanish at y = 0"),
+    (["--p1", "y", "--qs", "2y"], "dependence witness"),
+])
+def test_base_scan_refuses_a_bad_system_with_no_prime_in_range(
+        tmp_path, capsys, argv, message):
+    # 10 is not prime, so the sweep is empty; the system is still checked
+    rc = main(["base-scan", *argv, "--pmin", "10", "--pmax", "10",
+               "--out", str(tmp_path / "x.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [err[0]] and message in err[0]
+
+
 @pytest.mark.parametrize("argv", BAD_VALUES)
 def test_bad_flag_values_are_one_line_errors(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path / "x.jsonl")])

@@ -6,10 +6,18 @@ words bit for bit, so the first outputs from small seeds are frozen.
 """
 
 import math
+import time
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ffprog import rng as rng_module
 from ffprog.errors import InvalidRange
+from ffprog.field import make_field
+from ffprog.functions import (_random_phase, _random_two_var,
+                              random_one_bounded)
 from ffprog.rng import SplitMix64, derive_seed
 
 # reference sequence for the standard update rule, seed 0
@@ -114,3 +122,128 @@ def test_derived_streams_look_independent():
     ys = [b.random() - 0.5 for _ in range(n)]
     corr = sum(x * y for x, y in zip(xs, ys)) / n
     assert abs(corr) < 5 / math.sqrt(n) / 12 ** 0.5
+
+
+# -- block draws against a scalar oracle ----------------------------------------
+
+class ScalarOracle:
+    """Splitmix64 and its derived draws written out from the definition.
+
+    Shares no code with ffprog.rng: one Python int per step, so the block
+    paths there are checked against an independent scalar stream.
+    """
+
+    def __init__(self, seed):
+        self.state = seed % 2 ** 64
+
+    def u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2 ** 64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        return (self.u64() >> 11) / 2 ** 53
+
+    def disk(self):
+        while True:
+            x, y = 2 * self.uniform() - 1, 2 * self.uniform() - 1
+            if x * x + y * y <= 1:
+                return complex(x, y)
+
+    def subset(self, n, density):
+        return [i for i in range(n) if self.uniform() < density]
+
+    def shuffle(self, items):
+        for i in reversed(range(1, len(items))):
+            j = self.u64() % (i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+# seeds anywhere, and seeds just below 2^64 so the state wraps at once
+SEEDS = st.one_of(st.integers(0, 2 ** 64 - 1),
+                  st.integers(2 ** 64 - 1000, 2 ** 64 - 1))
+LENGTHS = st.integers(0, 300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, n=LENGTHS, density=st.floats(0.0, 1.0))
+def test_block_draws_equal_the_scalar_oracle(seed, n, density):
+    gen, ref = SplitMix64(seed), ScalarOracle(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning
+        assert gen.u64_block(n).tolist() == [ref.u64() for _ in range(n)]
+        assert gen.state == ref.state
+        assert gen.random_block(n).tolist() == [ref.uniform() for _ in range(n)]
+        assert gen.state == ref.state
+        assert gen.unit_disk_block(n).tolist() == [ref.disk() for _ in range(n)]
+        assert gen.state == ref.state
+        assert gen.subset(n, density) == ref.subset(n, density)
+        assert gen.state == ref.state
+        xs, ys = list(range(n)), list(range(n))
+        gen.shuffle(xs)
+        ref.shuffle(ys)
+        assert xs == ys and gen.state == ref.state
+    assert type(gen.state) is int
+    # a scalar draw after the blocks continues the same stream
+    assert gen.next_u64() == ref.u64()
+    assert gen.unit_disk() == ref.disk()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n=LENGTHS, chunk=st.integers(1, 8))
+def test_unit_disk_block_state_after_short_chunks(seed, n, chunk):
+    # tiny chunks run out of accepted pairs: each such chunk is consumed
+    # whole and the last one stops at its last kept pair
+    gen, ref = SplitMix64(seed), ScalarOracle(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "_DISK_CHUNK", chunk)
+        got = gen.unit_disk_block(n).tolist()
+    assert got == [ref.disk() for _ in range(n)]
+    assert gen.state == ref.state
+    assert gen.next_u64() == ref.u64()
+
+
+def test_block_of_negative_length_is_refused():
+    gen = SplitMix64(3)
+    with pytest.raises(ValueError):
+        gen.u64_block(-1)
+    assert gen.state == 3
+
+
+def test_numpy_seed_keeps_a_python_int_state():
+    gen = SplitMix64(np.uint64(2 ** 64 - 5))
+    assert type(gen.state) is int and gen.state == 2 ** 64 - 5
+    gen.unit_disk_block(7)
+    assert type(gen.state) is int
+
+
+@pytest.mark.parametrize("p,k", [(101, 1), (3, 2)])
+def test_random_functions_pinned_to_the_scalar_loop(p, k):
+    field = make_field(p, k)
+    q = field.q
+    gen = SplitMix64(2024)
+    f = random_one_bounded(field, gen)
+    ref = SplitMix64(2024)
+    assert f.values.tolist() == [ref.unit_disk() for _ in range(q)]
+    assert gen.state == ref.state
+    assert random_one_bounded(field, 2024).values.tolist() == f.values.tolist()
+    phase = _random_phase(field, gen).values
+    want = np.exp(2j * np.pi * np.array([ref.random() for _ in range(q)]))
+    assert phase.tolist() == want.tolist()
+    two = _random_two_var(field, gen).values
+    assert two.ravel().tolist() == [ref.unit_disk() for _ in range(q * q)]
+    assert gen.state == ref.state
+
+
+def test_random_one_bounded_and_subset_at_scale_are_immediate():
+    field = make_field(4001)
+    start = time.perf_counter()
+    f = random_one_bounded(field, 1)
+    assert time.perf_counter() - start < 0.1
+    assert f.values.shape == (4001,) and f.max_abs() <= 1.0
+    start = time.perf_counter()
+    idx = SplitMix64(1).subset(10 ** 5, 0.5)
+    assert time.perf_counter() - start < 0.1
+    assert 49_000 < len(idx) < 51_000
