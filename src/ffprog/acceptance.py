@@ -27,9 +27,9 @@ from .decomposition import (budget_from_schedule, u2_threshold_decompose,
                             verify_decomposition)
 from .extremal import build_hypergraph, r_exact
 from .field import is_prime, make_field
-from .functions import (_random_phase, _random_spike, _random_two_var,
-                        character_function, dense_function, fourier_transform,
-                        random_one_bounded)
+from .functions import (_forward_rows, _random_phase, _random_spike,
+                        _random_two_var, character_function, dense_function,
+                        fourier_transform, random_one_bounded)
 from .gowers import check_cs_inequality, gowers_norm, gowers_u2_via_fourier
 from .polys import int_poly, progression_system, reduce_and_eval
 from .rng import SplitMix64, derive_seed
@@ -356,13 +356,12 @@ def criterion_8() -> CriterionResult:
 def _dual_pairs(fa, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|<fa, g>| and ||g||_{U^2} for every row g of gs, as two products.
 
-    Row by row these are abs(inner(fa, g)) and gowers_u2_via_fourier(g);
-    chi is symmetric, so |ghat| for all rows is |conj(gs) @ chi| / q.
+    Row by row these are abs(inner(fa, g)) and gowers_u2_via_fourier(g),
+    with every row's spectrum taken in one stacked forward transform.
     """
-    q = fa.field.q
-    conj = np.conj(gs)
-    ghat = np.abs(conj @ fa.field.character_matrix()) / q
-    return np.abs(conj @ fa.values / q), np.sum(ghat ** 4, axis=1) ** 0.25
+    ghat = np.abs(_forward_rows(fa.field, gs))
+    return (np.abs(np.conj(gs) @ fa.values / fa.field.q),
+            np.sum(ghat ** 4, axis=1) ** 0.25)
 
 
 def criterion_9() -> CriterionResult:

@@ -63,8 +63,8 @@ from .field import is_prime, make_field
 from .functions import (_random_phase, _random_spike, _random_two_var,
                         balanced_indicator, character_function, indicator,
                         random_one_bounded)
-from .gowers import (check_cs_inequality, gowers_norm, gowers_u2_via_fourier,
-                     u2_dual_upper_bound)
+from .gowers import (_check_cs_budget, check_cs_inequality, gowers_norm,
+                     gowers_u2_via_fourier, u2_dual_upper_bound)
 from .polys import parse_poly, progression_system
 from .rng import SplitMix64, derive_seed
 from .schedule import (bound_recursion, budget_condition, delta_schedule,
@@ -419,6 +419,7 @@ def _cmd_schedule(args, seed: int, ledger: Ledger) -> int:
 
 def _cmd_cs_check(args, seed: int, ledger: Ledger) -> int:
     field = make_field(args.p, args.k)
+    _check_cs_budget(field.q, args.s)  # before the q x q factors are drawn
     rng = SplitMix64(derive_seed(seed, 0xC5))
     failures = []
     for trial in range(args.trials):

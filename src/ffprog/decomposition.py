@@ -26,8 +26,14 @@ candidate fa.  The smallest certified cutoff wins; if none certifies, the
 result is status 'failed' carrying the least-violating attempt (fewest
 violated checks, then smallest worst ratio, first on ties).
 
+The producer holds three stacks (kept spectra, fa and fc candidates) of
+one length-q row per cutoff, and refuses (BudgetExceeded) before the
+transform when those values exceed gowers.DEFAULT_BUDGET (2^24, 256 MiB);
+the transforms themselves are O(q log q) above small q (functions.py).
+
 Errors raised here: NotL2Normalized, ShapeMismatch, InvalidRange,
-IndexOutOfRange, ThresholdViolation (re-certification only).
+IndexOutOfRange, BudgetExceeded, ThresholdViolation (re-certification
+only).
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import numpy as np
 
 from .errors import (
     BudgetConditionWarning,
+    BudgetExceeded,
     FieldMismatch,
     InvalidRange,
     IndexOutOfRange,
@@ -50,7 +57,7 @@ from .errors import (
 )
 from .functions import (DenseFunction, _inverse_rows, fourier_transform,
                         lp_norm)
-from .gowers import gowers_norm, u2_dual_upper_bound
+from .gowers import DEFAULT_BUDGET, gowers_norm, u2_dual_upper_bound
 from .schedule import BudgetCheck, ScheduleParams, budget_condition
 
 _L2_TOL = 1e-12
@@ -239,17 +246,26 @@ def u2_threshold_decompose(f: DenseFunction,
     tau, or status 'failed' with the least-violating cutoff (fewest
     violated checks, then smallest worst ratio, first on ties) if none
     certifies.  Parts and result are built once, for that cutoff.
+    Refuses (BudgetExceeded) when the three stacks of cutoff rows would
+    hold more than DEFAULT_BUDGET complex values.
     """
     if bud.s != 2:
         raise InvalidRange("the threshold producer works at s = 2 only")
     _check_l2(f)
     field = f.field
     q = field.q
+    cutoffs = math.ceil(math.log2(q)) + 1
+    held = 3 * cutoffs * q   # kept, fas and fcs: one row of q per cutoff
+    if held > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            f"threshold decomposition on q = {q} holds 3 x {cutoffs} rows of "
+            f"q = {held} complex values ({held * 16 / 2 ** 20:.0f} MiB), "
+            f"over the budget of {DEFAULT_BUDGET} values")
     _warn_budget(bud, q)
     thresholds = np.array(bud.thresholds(q))
 
     coeffs = fourier_transform(f).coeffs
-    taus = 2.0 ** -np.arange(math.ceil(math.log2(q)) + 1)
+    taus = 2.0 ** -np.arange(cutoffs)
     kept = np.where(np.abs(coeffs) >= taus[:, None], coeffs, 0.0)
     fas = _inverse_rows(field, kept)
     fcs = f.values - fas

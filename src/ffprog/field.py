@@ -23,13 +23,20 @@ Translation x -> f(x + e) views a value array on (p,)*k, one axis per
 coefficient: _periodic wraps those axes out to 2p - 1 entries once, and
 _shifted returns the window starting at e's coefficients, as a view.
 
+The Fourier transform needs no q x q table: psi_a(x) = omega^(c_a T c_x)
+makes fhat a k-dimensional DFT of the values on (p,)*k read at the grid
+point (c_a T) mod p, and _fft_perm caches that point's flat index for
+every a (T is invertible, so it is a permutation).
+
 Everything here is exact integer arithmetic; floating point enters only in
 the character values themselves.  The q x q tables (addition table,
 character matrix) are built lazily, cached on the field object and capped
-at q <= 4096; counting, translation and the naive Gowers norm need
-neither.  No library code reads the addition table or neg_perm: tests
-check them against FieldElement arithmetic, and the benchmark's tracer
-wraps both methods by name.
+at q <= 4096; no library path above small q reads either.  The character
+matrix is the oracle the spectral routes are tested against, and is built
+in row blocks so that no q x q index array is ever held.  No library code
+reads the addition table or neg_perm: tests check them against
+FieldElement arithmetic, and the benchmark's tracer wraps both methods by
+name.
 
 Errors raised here: NotPrime, ReducibleModulus, DegreeMismatch,
 DivisionByZero, FieldMismatch, InvalidRange.
@@ -54,6 +61,8 @@ from .errors import (
 )
 
 _TABLE_LIMIT = 4096  # largest q for which dense q x q tables may be built
+_CHI_BLOCK = 256     # character-matrix rows built per trace-row block
+_TRIAL_DIVISORS = 10 ** 6  # trial divisors tried while is_prime is not exact
 _MR_EXACT_BELOW = 3317044064679887385961981  # psi_13 (bases 2..37 reach only psi_12 ~ 3.18e23)
 
 
@@ -144,9 +153,15 @@ def _prime_factors(n: int) -> list[int]:
     Trial division takes out the factors below 100 and goes on while the
     cofactor is at or above is_prime's exact bound; below it, a composite
     cofactor is split by Pollard's rho until is_prime certifies every part.
+    A cofactor still at or above the bound after _TRIAL_DIVISORS trial
+    divisors cannot be certified quickly, and is refused (InvalidRange).
     """
     out, f = set(), 2
     while f * f <= n and (f < 100 or n >= _MR_EXACT_BELOW):
+        if f > _TRIAL_DIVISORS:
+            raise InvalidRange(
+                f"cannot factor {n}: no divisor up to {_TRIAL_DIVISORS} and "
+                f"at or above {_MR_EXACT_BELOW}, where is_prime is not exact")
         if n % f:
             f += 1
         else:
@@ -359,12 +374,33 @@ class FieldSpec:
             self._cache["neg"] = ((-c) % self.p) @ self._place_values()
         return self._cache["neg"]
 
+    def _fft_perm(self) -> np.ndarray:
+        """Flat index in the (p,)*k DFT grid of the frequency of psi_a, per a.
+
+        psi_a(x) = omega^(b . c_x) with b = c_a T mod p, so fhat(a) is the
+        DFT of the values on (p,)*k at b, whose C-order index this holds.
+        """
+        if "fft_perm" not in self._cache:
+            freq = self._coeff_matrix() @ self._trace_form() % self.p
+            self._cache["fft_perm"] = freq @ self._place_values()
+        return self._cache["fft_perm"]
+
     def character_matrix(self) -> np.ndarray:
-        """q x q complex matrix CHI[a, x] = psi_a(x) = e_p(Tr(a x))."""
+        """q x q complex matrix CHI[a, x] = psi_a(x) = e_p(Tr(a x)).
+
+        Built _CHI_BLOCK rows at a time, so the trace indices it gathers
+        from never exist as one q x q array.
+        """
         if "chi" not in self._cache:
-            if self.q > _TABLE_LIMIT:
+            q = self.q
+            if q > _TABLE_LIMIT:
                 raise InvalidRange(f"character matrix capped at q <= {_TABLE_LIMIT}")
-            self._cache["chi"] = self.omega_powers()[self._trace_rows(slice(None))]
+            chi = np.empty((q, q), dtype=np.complex128)
+            for start in range(0, q, _CHI_BLOCK):
+                block = slice(start, min(start + _CHI_BLOCK, q))
+                np.take(self.omega_powers(), self._trace_rows(block),
+                        out=chi[block])
+            self._cache["chi"] = chi
         return self._cache["chi"]
 
     def __repr__(self) -> str:  # compact, modulus only when it matters

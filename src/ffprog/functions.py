@@ -18,10 +18,18 @@ a list of shifts, and in the first variable only for two-variable
 functions), L^p norms with respect to normalized counting measure, and the
 normalized inner product <f, g> = E_x f(x) conj(g(x)).
 
-The Fourier transform is the direct O(q^2) contraction against the cached
-character matrix, which field.py builds from the trace form for every k --
-exactness and auditability at desk scale are worth more here than an FFT.
-Parseval then reads sum_a |fhat(a)|^2 = E_x |f(x)|^2 exactly (to rounding).
+The Fourier transform has two routes, picked by q alone.  Above
+_FFT_ABOVE it is np.fft.fftn over the (p,)*k grid: psi_a(x) =
+omega^(c_a T c_x) with T the trace form, so fhat(a) is the grid DFT at
+the frequency c_a T mod p, divided by q, and FieldSpec._fft_perm reads
+every a's frequency off one cached length-q index.  The inverse scatters
+the spectrum back through the same index and runs ifftn on the last k
+axes, so a stack of spectra takes one call.  Up to _FFT_ABOVE the
+direct O(q^2) contraction against the cached character matrix is faster
+(numpy's FFT pays a fixed cost per axis, which small high-k fields feel
+most), and it is the oracle the FFT route is tested against.  Neither
+route caps q; Parseval reads sum_a |fhat(a)|^2 = E_x |f(x)|^2 on both
+(to rounding).
 
 Errors raised here: ShapeMismatch, FieldMismatch, ElementOutOfField,
 InvalidExponent.
@@ -204,18 +212,54 @@ class FourierCoefficients:
         object.__setattr__(self, "coeffs", c)
 
 
-def fourier_transform(f: DenseFunction) -> FourierCoefficients:
-    """fhat(a) = E_x f(x) conj(psi_a(x)); direct contraction, no FFT."""
-    chi = f.field.character_matrix()
+_FFT_ABOVE = 512  # fields with q above this transform by FFT, not the table
+
+
+def _fft_forward(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """fhat for one function or an (n, q) stack, by FFT over (p,)*k."""
+    grid = rows.reshape(rows.shape[:-1] + (field.p,) * field.k)
+    spec = np.fft.fftn(grid, axes=range(-field.k, 0)).reshape(rows.shape)
+    return spec[..., field._fft_perm()] / field.q
+
+
+def _fft_inverse(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
+    """f = sum_a fhat(a) psi_a for one spectrum or an (n, q) stack, by FFT."""
+    spec = np.empty(coeffs.shape, dtype=np.complex128)
+    spec[..., field._fft_perm()] = coeffs
+    grid = spec.reshape(coeffs.shape[:-1] + (field.p,) * field.k)
+    vals = np.fft.ifftn(grid, axes=range(-field.k, 0)).reshape(coeffs.shape)
+    return vals * field.q
+
+
+def _table_forward(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """fhat for one function or an (n, q) stack, against the table."""
     # conj(chi @ conj(f)) is conj(chi) @ f without a q x q conjugated copy
-    fhat = np.conj(chi @ np.conj(f.values)) / f.field.q
-    return FourierCoefficients(f.field, fhat)
+    return np.conj(field.character_matrix() @ np.conj(rows).T).T / field.q
+
+
+def _table_inverse(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
+    """f = sum_a fhat(a) psi_a for one spectrum or a stack, against the table."""
+    # chi is symmetric (Tr(ax) = Tr(xa)), so chi.T @ c = chi @ c
+    return (field.character_matrix() @ coeffs.T).T
+
+
+def _forward_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """fhat(a) = E_x f(x) conj(psi_a(x)) for one function or a stack of rows."""
+    if field.q > _FFT_ABOVE:
+        return _fft_forward(field, rows)
+    return _table_forward(field, rows)
 
 
 def _inverse_rows(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
     """f(x) = sum_a fhat(a) psi_a(x) for one spectrum or a stack of rows."""
-    # chi is symmetric (Tr(ax) = Tr(xa)), so chi.T @ c = chi @ c
-    return (field.character_matrix() @ coeffs.T).T
+    if field.q > _FFT_ABOVE:
+        return _fft_inverse(field, coeffs)
+    return _table_inverse(field, coeffs)
+
+
+def fourier_transform(f: DenseFunction) -> FourierCoefficients:
+    """fhat(a) = E_x f(x) conj(psi_a(x)): FFT above _FFT_ABOVE, else the table."""
+    return FourierCoefficients(f.field, _forward_rows(f.field, f.values))
 
 
 def inverse_fourier(coeffs: FourierCoefficients) -> DenseFunction:

@@ -12,15 +12,17 @@ row's conjugate, so level j holds q^j rows of q values.  The remaining
 double average factors exactly as E_{x,h} Delta_h g(x) = |E g|^2, which
 makes the result a mean of nonnegative terms by construction.  The final
 array dominates the cost: q^s complex values, 16 bytes each.  A budget
-guard (default 2^24 values, 256 MiB, so naive U^2 reaches q = 4096 like
-the Fourier route) raises BudgetExceeded before anything is allocated.
+guard (default 2^24 values, 256 MiB, so naive U^2 reaches q = 4096)
+raises BudgetExceeded before anything is allocated.
 
 At s = 2 an independent route exists through the character basis:
 
     ||f||_{U^2}^4 = sum_a |fhat(a)|^4,
 
 and the two routes are kept separate on purpose -- their agreement is one
-of the package's standing cross-checks.  The dual-norm helper returns
+of the package's standing cross-checks.  Above small q the spectral
+route is an FFT holding O(q) values (see functions.py), so it reaches far
+past the naive one's q = 4096.  The dual-norm helper returns
 sum_a |fhat(a)|, a certified upper bound for ||.||_{U^2}^* via
 |<f, g>| <= sum |fhat| * max |ghat| <= sum |fhat| * ||g||_{U^2}; the exact
 dual norm is deliberately not computed.
@@ -167,6 +169,20 @@ class CsCheck:
     projections: int
 
 
+def _check_cs_budget(q: int, s: int, budget: int = DEFAULT_BUDGET) -> None:
+    """Refuse (BudgetExceeded) a CS check whose 2 q^s values exceed budget.
+
+    check_cs_inequality calls it first; a caller that must draw the
+    factors calls it before drawing them.
+    """
+    held = 2 * q ** s
+    if held > budget:
+        raise BudgetExceeded(
+            f"CS check at s = {s} on q = {q} holds 2 q^s = {held} complex "
+            f"values ({held * 16 / 2 ** 20:.0f} MiB), over the budget of "
+            f"{budget} values")
+
+
 def check_cs_inequality(fs, s: int, budget: int = DEFAULT_BUDGET) -> CsCheck:
     """Evaluate ||F||_{U^s}^{2^(2s-2)} <= E_h ||F_h||_{U^2}^4 numerically.
 
@@ -180,12 +196,7 @@ def check_cs_inequality(fs, s: int, budget: int = DEFAULT_BUDGET) -> CsCheck:
         raise InvalidRange(f"reduction defined for s >= 2, got {s}")
     field = fs[0].field
     q = field.q
-    held = 2 * q ** s
-    if held > budget:
-        raise BudgetExceeded(
-            f"CS check at s = {s} on q = {q} holds 2 q^s = {held} complex "
-            f"values ({held * 16 / 2 ** 20:.0f} MiB), over the budget of "
-            f"{budget} values")
+    _check_cs_budget(q, s, budget)
     _check_one_bounded(fs)
 
     F = cs_project(fs, [])

@@ -542,6 +542,32 @@ def test_cs_check_reruns_are_identical(tmp_path):
     assert all(r["holds"] for r in recs1)
 
 
+def test_cs_check_refuses_its_budget_before_the_first_draw(tmp_path, capsys,
+                                                           monkeypatch):
+    import ffprog.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("a factor was drawn")
+
+    monkeypatch.setattr(cli, "_random_two_var", refuse)
+    rc = main(["cs-check", "--p", "211", "--s", "3",
+               "--out", str(tmp_path / "x.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    # the message check_cs_inequality itself gives
+    assert err == [err[0]] and ("holds 2 q^s = 18787862 complex values "
+                                "(287 MiB), over the budget") in err[0]
+
+
+def test_unfactorable_determinant_is_one_line_error(tmp_path, capsys):
+    det = (10 ** 18 + 3) * (10 ** 18 + 9)   # past the factoring cap
+    rc = main(["count", "--p", "7", "--polys", f"y,{det}y^2",
+               "--out", str(tmp_path / "x.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [err[0]] and f"cannot factor {det}" in err[0]
+
+
 # --------------------------------------------------------------------------
 # exit codes, config files, parser plumbing
 # --------------------------------------------------------------------------
@@ -619,6 +645,7 @@ BAD_VALUES = [
      "--trials", "1", "--density", "2.5"],
     ["base-scan", "--p1", "y", "--pmin", "31", "--pmax", "31",
      "--density", "-1"],
+    ["cs-check", "--p", "4001", "--s", "2"],    # 2 q^s over the budget
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path / "x.jsonl")]

@@ -19,9 +19,9 @@ from ffprog.decomposition import (Certificates, DecompositionBudget,
                                   budget_from_schedule, recheck_certificates,
                                   u2_threshold_decompose,
                                   verify_decomposition)
-from ffprog.errors import (BudgetConditionWarning, FieldMismatch,
-                           IndexOutOfRange, InvalidRange, NotL2Normalized,
-                           ShapeMismatch, ThresholdViolation)
+from ffprog.errors import (BudgetConditionWarning, BudgetExceeded,
+                           FieldMismatch, IndexOutOfRange, InvalidRange,
+                           NotL2Normalized, ShapeMismatch, ThresholdViolation)
 from ffprog.field import make_field
 from ffprog.functions import (character_function, constant_function,
                               dense_function, fourier_transform, lp_norm)
@@ -227,6 +227,30 @@ def test_producer_guardrails():
     too_big = dense_function(F101, 2 * np.ones(101))
     with pytest.raises(NotL2Normalized):
         quiet(u2_threshold_decompose, too_big, SCHEDULE_BUDGET)
+
+
+def test_producer_refuses_its_stacks_before_allocating(monkeypatch):
+    import tracemalloc
+
+    import ffprog.decomposition as decomposition
+
+    def refuse(f):
+        raise AssertionError("transform reached")
+
+    monkeypatch.setattr(decomposition, "fourier_transform", refuse)
+    field = make_field(524287)   # 3 x 20 rows of q, 480 MiB
+    f = constant_function(field, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded,
+                           match=r"holds 3 x 20 rows of q = 31457220 complex "
+                                 r"values \(480 MiB\), over the budget of "
+                                 r"16777216 values"):
+            quiet(u2_threshold_decompose, f, SCHEDULE_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * f.values.nbytes   # the L2 check's |f|, no stack
 
 
 def test_budget_condition_warning_is_emitted_at_desk_scale():

@@ -17,10 +17,10 @@ import pytest
 
 from ffprog.errors import (DegreeMismatch, DivisionByZero, FieldMismatch,
                            InvalidRange, NotPrime, ReducibleModulus)
-from ffprog.field import (_MR_EXACT_BELOW, FieldSpec, _is_irreducible,
-                          _periodic, _prime_factors, _shifted, character_eval,
-                          enumerate_elements, field_arith, is_prime,
-                          make_field, trace)
+from ffprog.field import (_MR_EXACT_BELOW, _TRIAL_DIVISORS, FieldSpec,
+                          _is_irreducible, _periodic, _prime_factors, _shifted,
+                          character_eval, enumerate_elements, field_arith,
+                          is_prime, make_field, trace)
 from ffprog.rng import SplitMix64
 
 FIELDS = [make_field(2), make_field(7), make_field(2, 3), make_field(3, 2),
@@ -319,8 +319,8 @@ def test_is_prime_and_prime_factors_match_trial_division():
 def test_prime_factors_of_planted_products():
     # 2-4 primes below 10^9 (repeats allowed), so most cofactors left
     # after trial division are composite and go to Pollard's rho.  Only
-    # products below is_prime's exact bound count: at or above it the
-    # factoring is trial division to the end, by design.
+    # products below is_prime's exact bound count here: at or above it
+    # trial division runs, up to _TRIAL_DIVISORS divisors.
     rng = SplitMix64(9001)
     tried = 0
     while tried < 200:
@@ -334,6 +334,39 @@ def test_prime_factors_of_planted_products():
         if n < _MR_EXACT_BELOW:
             tried += 1
             assert _prime_factors(n) == sorted(set(primes)), primes
+    # past the bound: primes below 10^5 that trial division clears, times
+    # 2-3 primes above 10^6 whose product lies below the bound, still
+    # factor exactly (one small prime sits just under the divisor cap)
+    for case in range(20):
+        large = [_MR_EXACT_BELOW]
+        while math.prod(large) >= _MR_EXACT_BELOW:
+            large = []
+            for _ in range(2 + rng.randrange(2)):
+                n = 10 ** 6 + rng.randrange(10 ** (7 + rng.randrange(5)))
+                while not is_prime(n):
+                    n += 1
+                large.append(n)
+        small = [999983] if case == 0 else []
+        while math.prod(small + large) < _MR_EXACT_BELOW:
+            n = 2 + rng.randrange(10 ** 5)
+            while not is_prime(n):
+                n -= 1
+            small.append(n)
+        primes = small + large
+        assert _prime_factors(math.prod(primes)) == sorted(set(primes)), primes
+
+
+def test_prime_factors_refuses_an_uncleared_cofactor_quickly():
+    # two 19-digit primes: no divisor up to the cap, and the product is
+    # past is_prime's exact bound, so no part of it can be certified
+    a, b = 10 ** 18 + 3, 10 ** 18 + 9
+    assert is_prime(a) and is_prime(b)
+    start = time.perf_counter()
+    with pytest.raises(InvalidRange, match=(
+            f"cannot factor {a * b}: no divisor up to {_TRIAL_DIVISORS} "
+            f"and at or above {_MR_EXACT_BELOW}")):
+        _prime_factors(a * b)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_is_prime_rejects_strong_pseudoprime_to_bases_up_to_37():

@@ -9,16 +9,22 @@ norm and decomposition routine leans on them.
 import numpy as np
 import pytest
 
-from ffprog.errors import (ElementOutOfField, FieldMismatch, InvalidExponent,
-                           ShapeMismatch)
-from ffprog.field import make_field
-from ffprog.functions import (balanced_indicator, character_function,
+from ffprog.decomposition import budget_from_schedule, u2_threshold_decompose
+from ffprog.errors import (BudgetConditionWarning, ElementOutOfField,
+                           FieldMismatch, InvalidExponent, ShapeMismatch)
+from ffprog.field import FieldSpec, character_eval, make_field
+from ffprog.functions import (_FFT_ABOVE, _fft_forward, _fft_inverse,
+                              _forward_rows, _inverse_rows, _table_forward,
+                              _table_inverse, balanced_indicator,
+                              character_function,
                               constant_function, delta_first_var, delta_multi,
                               dense_function, fourier_transform,
                               function_from_json, function_to_json, indicator,
                               inner, inverse_fourier, lp_norm,
                               random_one_bounded, two_var_function)
+from ffprog.gowers import gowers_u2_via_fourier, u2_dual_upper_bound
 from ffprog.rng import SplitMix64
+from ffprog.schedule import delta_schedule
 
 F7 = make_field(7)
 F9 = make_field(3, 2)
@@ -158,6 +164,93 @@ def test_fourier_indicator_explicit():
     for a in range(7):
         direct = sum(np.conj(chi[a, x]) for x in A) / 7
         assert abs(fhat[a] - direct) < 1e-12
+
+
+# -- FFT route against the table route ------------------------------------------
+
+def unit_rows(field, seed, n):
+    """n rows of unimodular values, one SplitMix64 phase per point."""
+    rng = SplitMix64(seed)
+    return np.exp(2j * np.pi * rng.random_block(n * field.q)).reshape(n, field.q)
+
+
+# both sides of _FFT_ABOVE, prime and extension fields
+ROUTE_FIELDS = [(101, 1), (3, 4), (521, 1), (23, 2), (3, 6), (2, 10)]
+
+
+@pytest.mark.parametrize("p,k", ROUTE_FIELDS, ids=lambda v: str(v))
+def test_fft_route_matches_table_route(p, k):
+    field = make_field(p, k)
+    rows = unit_rows(field, 100 * p + k, 4)
+    fft, table = _fft_forward(field, rows), _table_forward(field, rows)
+    assert np.abs(fft - table).max() < 1e-14
+    # one function is the one-row case of the stack
+    assert np.abs(_fft_forward(field, rows[0]) - table[0]).max() < 1e-14
+    # the stacked inverse of a spectrum stack, both routes
+    back_fft, back_table = _fft_inverse(field, table), _table_inverse(field, table)
+    assert np.abs(back_fft - back_table).max() < 1e-13
+    assert np.abs(back_fft - rows).max() < 1e-13
+    # the dispatchers take the route q asks for
+    want = _fft_forward if field.q > _FFT_ABOVE else _table_forward
+    assert np.array_equal(_forward_rows(field, rows), want(field, rows))
+    want = _fft_inverse if field.q > _FFT_ABOVE else _table_inverse
+    assert np.array_equal(_inverse_rows(field, table), want(field, table))
+
+
+@pytest.mark.parametrize("p,k", [(17, 3), (8191, 1)], ids=["GF(17^3)", "GF(8191)"])
+def test_spectral_stack_runs_past_the_table_cap(monkeypatch, p, k):
+    # q = 4913 and 8191 lie above the character table's q <= 4096 cap;
+    # the checks use Parseval and single characters, not the table
+    def refuse(self):
+        raise AssertionError("character_matrix called")
+
+    monkeypatch.setattr(FieldSpec, "character_matrix", refuse)
+    field = make_field(p, k)
+    q = field.q
+    f = dense_function(field, unit_rows(field, q, 1)[0])
+    fhat = fourier_transform(f).coeffs
+    assert abs(np.sum(np.abs(fhat) ** 2) - 1.0) < 1e-12   # Parseval, |f| = 1
+    for a in (0, 1, q // 3, q - 1):
+        psi = character_function(field, a).values
+        assert abs(fhat[a] - np.vdot(psi, f.values) / q) < 1e-14
+    u2 = gowers_u2_via_fourier(f).raw_power
+    assert u2 == pytest.approx(np.sum(np.abs(fhat) ** 4), rel=1e-12)
+    assert u2 <= np.abs(fhat).max() ** 2 + 1e-15    # sum |f^|^4 <= max |f^|^2
+    assert u2_dual_upper_bound(f) == pytest.approx(np.abs(fhat).sum(), rel=1e-12)
+    # a character: U^2 = 1 and dual bound 1
+    psi = character_function(field, q // 2)
+    assert gowers_u2_via_fourier(psi).value == pytest.approx(1.0, abs=1e-12)
+    assert u2_dual_upper_bound(psi) == pytest.approx(1.0, abs=1e-9)
+    # a spiked character decomposes: fa keeps the spike's coefficient as is
+    a = q // 5
+    vals = character_function(field, a).values + 0.02 * f.values
+    g = dense_function(field, vals / np.sqrt(np.mean(np.abs(vals) ** 2)))
+    bud = budget_from_schedule(delta_schedule(2, 1, 0.5), 2)
+    with pytest.warns(BudgetConditionWarning):
+        res = u2_threshold_decompose(g, bud)
+    assert res.certified
+    assert np.abs(res.fa.values + res.fc.values - g.values).max() < 1e-12
+    ga = np.vdot(character_function(field, a).values, g.values) / q
+    fa_at = np.vdot(character_function(field, a).values, res.fa.values) / q
+    assert abs(fa_at - ga) < 1e-12 and abs(ga) >= res.tau
+    # the producer's dual bound is the one the verifier recomputes from fa
+    assert res.certificates.dual_bound == pytest.approx(
+        u2_dual_upper_bound(res.fa), rel=1e-9)
+    assert abs(ga) <= res.certificates.dual_bound
+
+
+def test_block_built_character_matrix_matches_its_oracles():
+    p = 521   # three row blocks
+    F = make_field(p)
+    x = np.arange(p)
+    want = F.omega_powers()[np.outer(x, x) % p]
+    assert np.array_equal(F.character_matrix(), want)
+    # GF(17^2): q = 289 spans two blocks; rows on both sides of the seam
+    G = make_field(17, 2)
+    chi, els = G.character_matrix(), G.elements()
+    for a in (0, 1, 255, 256, 257, G.q - 1):
+        row = [character_eval(G, els[a], xe) for xe in els]
+        assert np.abs(chi[a] - row).max() < 1e-12
 
 
 # -- differencing ---------------------------------------------------------------

@@ -16,7 +16,7 @@ from math import gcd, lcm
 import pytest
 
 from ffprog.errors import (DependentSystem, EmptyInput, FieldMismatch,
-                           NonzeroConstantTerm, PolySyntaxError,
+                           InvalidRange, NonzeroConstantTerm, PolySyntaxError,
                            ZeroPolynomial)
 from ffprog.field import make_field
 from ffprog.polys import (DependenceWitness, IndependenceCertificate, IntPoly,
@@ -373,6 +373,16 @@ def test_threshold_of_two_large_prime_factors_is_immediate(det, threshold):
     assert time.perf_counter() - start < 0.1
     assert system.certificate.determinant == det
     assert system.threshold == threshold
+
+
+def test_threshold_past_the_factoring_cap_is_refused_quickly():
+    # two 19-digit prime factors: the product is past is_prime's exact
+    # bound and trial division cannot clear it, so the system is refused
+    det = (10 ** 18 + 3) * (10 ** 18 + 9)
+    start = time.perf_counter()
+    with pytest.raises(InvalidRange, match=f"cannot factor {det}"):
+        progression_system(["y", f"{det}y^2"])
+    assert time.perf_counter() - start < 2.0
 
 
 def test_characteristic_threshold_inputs():
