@@ -58,13 +58,13 @@ from .counting import (_base_case_system, _weil_sweep, base_case_report,
 from .decomposition import (budget, budget_from_schedule,
                             u2_threshold_decompose, verify_decomposition)
 from .errors import FFProgError, ThresholdViolation
-from .extremal import build_hypergraph, r_exact, r_lower_random
+from .extremal import _check_bitset, build_hypergraph, r_exact, r_lower_random
 from .field import is_prime, make_field
 from .functions import (_random_phase, _random_spike, _random_two_var,
                         balanced_indicator, character_function, indicator,
                         random_one_bounded)
-from .gowers import (_check_cs_budget, check_cs_inequality, gowers_norm,
-                     gowers_u2_via_fourier, u2_dual_upper_bound)
+from .gowers import (_check_cs_budget, _check_norm_budget, check_cs_inequality,
+                     gowers_norm, gowers_u2_via_fourier, u2_dual_upper_bound)
 from .polys import parse_poly, progression_system
 from .rng import SplitMix64, derive_seed
 from .schedule import (bound_recursion, budget_condition, delta_schedule,
@@ -317,12 +317,13 @@ def _cmd_extremal(args, seed: int, ledger: Ledger) -> int:
     system = progression_system(polys)
     policies = (["paper_literal", "distinct_points"] if args.degeneracy == "both"
                 else [args.degeneracy])
-    ps = _ints("--p", args.p)
+    fields = [make_field(p, args.k) for p in _ints("--p", args.p)]
+    for field in fields:
+        _check_bitset(field.q)  # every q refused before the first build
     ledger.csv_row(["q", "r", "exact", "gamma_point"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for p in ps:
-            field = make_field(p, args.k)
+        for field in fields:
             for policy in policies:
                 hg = build_hypergraph(system, field, y_rule=args.y_rule,
                                       degeneracy=policy)
@@ -330,7 +331,7 @@ def _cmd_extremal(args, seed: int, ledger: Ledger) -> int:
                     res = r_exact(hg, node_budget=args.node_budget)
                 else:
                     res = r_lower_random(hg, args.iters,
-                                         derive_seed(seed, p))
+                                         derive_seed(seed, field.p))
                 ledger.write(system=str(system), p=field.p, k=field.k,
                              policy=policy, r=res.r, exact=res.exact,
                              witness=list(res.witness_indices),
@@ -360,9 +361,10 @@ def _budget_from_args(args):
 def _cmd_decompose(args, seed: int, ledger: Ledger) -> int:
     field = make_field(args.p, args.k)
     bud = _budget_from_args(args)
+    _check_norm_budget(field.q, bud.s)  # the verifier's, before any work
     f, echo = _make_function(args.fn, field, args.set, seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore" if args.quiet_warnings else "default")
+    with warnings.catch_warnings():  # producer and verifier warn alike
+        warnings.simplefilter("ignore" if args.quiet_warnings else "once")
         res = u2_threshold_decompose(f, bud)
         ver = verify_decomposition(f, res.fa, res.fb, res.fc, bud)
     ledger.write(p=field.p, k=field.k, **echo,

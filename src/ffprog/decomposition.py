@@ -28,8 +28,8 @@ violated checks, then smallest worst ratio, first on ties).
 
 The producer holds three stacks (kept spectra, fa and fc candidates) of
 one length-q row per cutoff, and refuses (BudgetExceeded) before the
-transform when those values exceed gowers.DEFAULT_BUDGET (2^24, 256 MiB);
-the transforms themselves are O(q log q) above small q (functions.py).
+transform when those values exceed errors.BUDGET (2^24, 256 MiB); the
+transforms themselves are O(q log q) above small q (functions.py).
 
 Errors raised here: NotL2Normalized, ShapeMismatch, InvalidRange,
 IndexOutOfRange, BudgetExceeded, ThresholdViolation (re-certification
@@ -47,17 +47,17 @@ import numpy as np
 
 from .errors import (
     BudgetConditionWarning,
-    BudgetExceeded,
     FieldMismatch,
     InvalidRange,
     IndexOutOfRange,
     NotL2Normalized,
     ShapeMismatch,
     ThresholdViolation,
+    _check_budget,
 )
 from .functions import (DenseFunction, _inverse_rows, fourier_transform,
                         lp_norm)
-from .gowers import DEFAULT_BUDGET, gowers_norm, u2_dual_upper_bound
+from .gowers import _check_norm_budget, gowers_norm, u2_dual_upper_bound
 from .schedule import BudgetCheck, ScheduleParams, budget_condition
 
 _L2_TOL = 1e-12
@@ -157,7 +157,7 @@ def _check_l2(f: DenseFunction) -> None:
         raise NotL2Normalized(f"||f||_L2 = {l2:.12f} exceeds 1")
 
 
-def _warn_budget(bud: DecompositionBudget, q: int) -> BudgetCheck:
+def _warn_budget(bud: DecompositionBudget, q: int) -> None:
     check = bud.condition(q)
     if not check.ok:
         warnings.warn(
@@ -166,7 +166,6 @@ def _warn_budget(bud: DecompositionBudget, q: int) -> BudgetCheck:
             BudgetConditionWarning,
             stacklevel=3,
         )
-    return check
 
 
 # --------------------------------------------------------------------------
@@ -182,6 +181,7 @@ def verify_decomposition(f: DenseFunction, fa: DenseFunction, fb: DenseFunction,
     caller-supplied certified dual_upper is compared instead (without one
     the result is 'partial': three checks passed or failed on evidence,
     the dual left open).  The parts must reassemble f exactly (1e-10 sup).
+    Refuses (BudgetExceeded) first when the U^s norm of fc would not fit.
     """
     field = f.field
     for part in (fa, fb, fc):
@@ -189,8 +189,9 @@ def verify_decomposition(f: DenseFunction, fa: DenseFunction, fb: DenseFunction,
             raise FieldMismatch("decomposition parts on different fields")
         if part.values.shape != f.values.shape:
             raise ShapeMismatch("decomposition parts have wrong length")
-    _check_l2(f)
     q = field.q
+    _check_norm_budget(q, bud.s)
+    _check_l2(f)
     _warn_budget(bud, q)
 
     diagnostics = []
@@ -247,7 +248,7 @@ def u2_threshold_decompose(f: DenseFunction,
     violated checks, then smallest worst ratio, first on ties) if none
     certifies.  Parts and result are built once, for that cutoff.
     Refuses (BudgetExceeded) when the three stacks of cutoff rows would
-    hold more than DEFAULT_BUDGET complex values.
+    hold more than errors.BUDGET complex values.
     """
     if bud.s != 2:
         raise InvalidRange("the threshold producer works at s = 2 only")
@@ -255,12 +256,8 @@ def u2_threshold_decompose(f: DenseFunction,
     field = f.field
     q = field.q
     cutoffs = math.ceil(math.log2(q)) + 1
-    held = 3 * cutoffs * q   # kept, fas and fcs: one row of q per cutoff
-    if held > DEFAULT_BUDGET:
-        raise BudgetExceeded(
-            f"threshold decomposition on q = {q} holds 3 x {cutoffs} rows of "
-            f"q = {held} complex values ({held * 16 / 2 ** 20:.0f} MiB), "
-            f"over the budget of {DEFAULT_BUDGET} values")
+    _check_budget(f"threshold decomposition on q = {q} holds 3 x {cutoffs} "
+                  f"rows of q", 3 * cutoffs * q)  # kept, fas and fcs
     _warn_budget(bud, q)
     thresholds = np.array(bud.thresholds(q))
 

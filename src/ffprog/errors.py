@@ -112,7 +112,18 @@ class IndexOutOfRange(FFProgError):
 
 
 class BudgetExceeded(FFProgError):
-    """The requested computation exceeds the configured operation budget."""
+    """The requested computation would hold more than BUDGET values."""
+
+
+BUDGET = 1 << 24  # complex values one computation may hold (256 MiB)
+
+
+def _check_budget(head: str, held: int) -> None:
+    """The one size guard: refuse `held` > BUDGET values before allocating."""
+    if held > BUDGET:
+        raise BudgetExceeded(
+            f"{head} = {held} complex values ({held * 16 / 2 ** 20:.0f} MiB), "
+            f"over the budget of {BUDGET} values")
 
 
 class NotOneBounded(FFProgError):

@@ -54,8 +54,6 @@ from .field import FieldElement, FieldSpec, _periodic, _shifted
 from .polys import ProgressionSystem
 from .rng import SplitMix64
 
-_BITSET_LIMIT = 512
-
 
 @dataclass(frozen=True)
 class ProgressionHypergraph:
@@ -124,9 +122,16 @@ def _mask(vertices) -> int:
     return m
 
 
+def _check_bitset(q: int) -> None:
+    """Refuse (InvalidRange) a bitset search over more than 512 vertices."""
+    if q > 512:
+        raise InvalidRange(f"bitset search capped at q <= 512, got q = {q}")
+
+
 def _edge_masks(hg: ProgressionHypergraph):
     """Per-vertex incidence lists of bitmask edges, and the usable mask."""
     q = hg.q
+    _check_bitset(q)
     singles = 0
     masks = []
     for e in hg.edges:
@@ -212,8 +217,6 @@ def r_exact(hg: ProgressionHypergraph,
     budget.
     """
     q = hg.q
-    if q > _BITSET_LIMIT:
-        raise InvalidRange(f"bitset search capped at q <= {_BITSET_LIMIT}")
     t0 = time.perf_counter()
     edges_of, usable = _edge_masks(hg)
 
@@ -266,8 +269,6 @@ def r_lower_random(hg: ProgressionHypergraph, iters: int,
                    seed: int) -> ExtremalResult:
     """Best of `iters` randomized greedy passes; reproducible from seed."""
     q = hg.q
-    if q > _BITSET_LIMIT:
-        raise InvalidRange(f"bitset search capped at q <= {_BITSET_LIMIT}")
     if iters < 1:
         raise InvalidRange(f"iters must be >= 1, got {iters}")
     t0 = time.perf_counter()

@@ -30,16 +30,17 @@ every a (T is invertible, so it is a permutation).
 
 Everything here is exact integer arithmetic; floating point enters only in
 the character values themselves.  The q x q tables (addition table,
-character matrix) are built lazily, cached on the field object and capped
-at q <= 4096; no library path above small q reads either.  The character
-matrix is the oracle the spectral routes are tested against, and is built
-in row blocks so that no q x q index array is ever held.  No library code
-reads the addition table or neg_perm: tests check them against
-FieldElement arithmetic, and the benchmark's tracer wraps both methods by
-name.
+character matrix) are built lazily, cached on the field object and refused
+(BudgetExceeded, before allocating) when their q^2 entries exceed
+errors.BUDGET, i.e. above q = 4096; no library path above small q reads
+either.  The character matrix is the oracle the spectral routes are tested
+against, and is built in row blocks so that no q x q index array is ever
+held.  No library code reads the addition table or neg_perm: tests check
+them against FieldElement arithmetic, and the benchmark's tracer wraps
+both methods by name.
 
 Errors raised here: NotPrime, ReducibleModulus, DegreeMismatch,
-DivisionByZero, FieldMismatch, InvalidRange.
+DivisionByZero, FieldMismatch, InvalidRange, BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ from .errors import (
     InvalidRange,
     NotPrime,
     ReducibleModulus,
+    _check_budget,
 )
 
-_TABLE_LIMIT = 4096  # largest q for which dense q x q tables may be built
 _CHI_BLOCK = 256     # character-matrix rows built per trace-row block
 _TRIAL_DIVISORS = 10 ** 6  # trial divisors tried while is_prime is not exact
 _MR_EXACT_BELOW = 3317044064679887385961981  # psi_13 (bases 2..37 reach only psi_12 ~ 3.18e23)
@@ -360,8 +361,7 @@ class FieldSpec:
     def add_index_table(self) -> np.ndarray:
         """q x q table: entry (i, j) is the index of e_i + e_j."""
         if "add" not in self._cache:
-            if self.q > _TABLE_LIMIT:
-                raise InvalidRange(f"addition table capped at q <= {_TABLE_LIMIT}")
+            _check_budget(f"addition table on q = {self.q} holds q^2", self.q ** 2)
             c = self._coeff_matrix()
             sums = (c[:, None, :] + c[None, :, :]) % self.p
             self._cache["add"] = sums @ self._place_values()
@@ -393,8 +393,7 @@ class FieldSpec:
         """
         if "chi" not in self._cache:
             q = self.q
-            if q > _TABLE_LIMIT:
-                raise InvalidRange(f"character matrix capped at q <= {_TABLE_LIMIT}")
+            _check_budget(f"character matrix on q = {q} holds q^2", q * q)
             chi = np.empty((q, q), dtype=np.complex128)
             for start in range(0, q, _CHI_BLOCK):
                 block = slice(start, min(start + _CHI_BLOCK, q))

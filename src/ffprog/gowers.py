@@ -11,9 +11,9 @@ row, viewed at once through a sliding window over field._periodic, by the
 row's conjugate, so level j holds q^j rows of q values.  The remaining
 double average factors exactly as E_{x,h} Delta_h g(x) = |E g|^2, which
 makes the result a mean of nonnegative terms by construction.  The final
-array dominates the cost: q^s complex values, 16 bytes each.  A budget
-guard (default 2^24 values, 256 MiB, so naive U^2 reaches q = 4096)
-raises BudgetExceeded before anything is allocated.
+array dominates the cost: q^s complex values, 16 bytes each.  Above
+errors.BUDGET (2^24 values, 256 MiB, so naive U^2 reaches q = 4096) the
+norm is refused with BudgetExceeded before anything is allocated.
 
 At s = 2 an independent route exists through the character basis:
 
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetExceeded, FieldMismatch, InvalidRange, NotOneBounded
+from .errors import FieldMismatch, InvalidRange, NotOneBounded, _check_budget
 from .field import FieldSpec, _periodic
 from .functions import (
     DenseFunction,
@@ -58,7 +58,6 @@ from .functions import (
     fourier_transform,
 )
 
-DEFAULT_BUDGET = 1 << 24
 _NEG_TOL = 1e-9
 
 
@@ -100,19 +99,19 @@ def _mean_square_mean(rows: np.ndarray) -> float:
     return float((means.real ** 2 + means.imag ** 2).mean())
 
 
-def gowers_norm(f: DenseFunction, s: int, budget: int = DEFAULT_BUDGET) -> GowersNormValue:
+def _check_norm_budget(q: int, s: int) -> None:
+    """Refuse (BudgetExceeded) a naive U^s whose q^s values exceed BUDGET."""
+    _check_budget(f"U^{s} on q = {q} holds q^s", q ** s)
+
+
+def gowers_norm(f: DenseFunction, s: int) -> GowersNormValue:
     """Naive U^s norm by direct averaging of iterated derivatives.
 
-    Refuses (BudgetExceeded) when the q^s complex values it would hold
-    exceed budget.
+    Refuses (BudgetExceeded) when its q^s complex values exceed BUDGET.
     """
     if s < 1:
         raise InvalidRange(f"U^s needs s >= 1, got {s}")
-    held = f.field.q ** s
-    if held > budget:
-        raise BudgetExceeded(
-            f"U^{s} on q = {f.field.q} holds q^s = {held} complex values "
-            f"({held * 16 / 2 ** 20:.0f} MiB), over the budget of {budget} values")
+    _check_norm_budget(f.field.q, s)
     raw = _mean_square_mean(
         _differences(f.field, f.values.reshape(1, f.field.q), s - 1))
     raw = max(raw, 0.0)
@@ -169,21 +168,12 @@ class CsCheck:
     projections: int
 
 
-def _check_cs_budget(q: int, s: int, budget: int = DEFAULT_BUDGET) -> None:
-    """Refuse (BudgetExceeded) a CS check whose 2 q^s values exceed budget.
-
-    check_cs_inequality calls it first; a caller that must draw the
-    factors calls it before drawing them.
-    """
-    held = 2 * q ** s
-    if held > budget:
-        raise BudgetExceeded(
-            f"CS check at s = {s} on q = {q} holds 2 q^s = {held} complex "
-            f"values ({held * 16 / 2 ** 20:.0f} MiB), over the budget of "
-            f"{budget} values")
+def _check_cs_budget(q: int, s: int) -> None:
+    """Refuse (BudgetExceeded) a CS check whose 2 q^s values exceed BUDGET."""
+    _check_budget(f"CS check at s = {s} on q = {q} holds 2 q^s", 2 * q ** s)
 
 
-def check_cs_inequality(fs, s: int, budget: int = DEFAULT_BUDGET) -> CsCheck:
+def check_cs_inequality(fs, s: int) -> CsCheck:
     """Evaluate ||F||_{U^s}^{2^(2s-2)} <= E_h ||F_h||_{U^2}^4 numerically.
 
     fs are 1-bounded TwoVarFunctions; s >= 2.  At s = 2 both sides are the
@@ -196,11 +186,11 @@ def check_cs_inequality(fs, s: int, budget: int = DEFAULT_BUDGET) -> CsCheck:
         raise InvalidRange(f"reduction defined for s >= 2, got {s}")
     field = fs[0].field
     q = field.q
-    _check_cs_budget(q, s, budget)
+    _check_cs_budget(q, s)
     _check_one_bounded(fs)
 
     F = cs_project(fs, [])
-    lhs = gowers_norm(F, s, budget).raw_power ** (1 << (s - 2))
+    lhs = gowers_norm(F, s).raw_power ** (1 << (s - 2))
 
     # every factor's columns y -> f(., y), differenced s - 2 times in x:
     # row (h_{s-2}, .., h_1, y) of prod is prod_i Delta_{h...} f_i(., y)

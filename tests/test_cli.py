@@ -10,13 +10,21 @@ see them.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ffprog import __version__, acceptance
+import ffprog
+from ffprog import __version__, acceptance, cli
 from ffprog.acceptance import CriterionResult
 from ffprog.cli import main
-from ffprog.errors import BudgetConditionWarning
+from ffprog.errors import BudgetConditionWarning, BudgetExceeded
+from ffprog.field import make_field
+from ffprog.functions import constant_function
+from ffprog.gowers import gowers_norm
 from ffprog.rng import derive_seed
 
 
@@ -411,6 +419,22 @@ def test_extremal_random_method_records_derived_seed(tmp_path):
     assert len(rec["witness"]) == rec["r"]
 
 
+def test_extremal_refuses_every_q_before_the_first_build(tmp_path, capsys,
+                                                         monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hypergraph was built")
+
+    monkeypatch.setattr(cli, "build_hypergraph", refuse)
+    out = tmp_path / "x.jsonl"
+    rc = main(["extremal", "--p", "31,1009", "--polys", "y,y^2",
+               "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == ["ffprog: error: bitset search capped at q <= 512, "
+                   "got q = 1009"]
+    assert not out.exists()  # p = 31 wrote no record first
+
+
 # --------------------------------------------------------------------------
 # decompose
 # --------------------------------------------------------------------------
@@ -463,6 +487,46 @@ def test_decompose_rejects_malformed_deltas(tmp_path, capsys):
                "--out", str(tmp_path / "d.jsonl")])
     assert rc == 1
     assert "four comma-separated rationals" in capsys.readouterr().err
+
+
+def test_decompose_refuses_the_verifier_budget_before_the_producer(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the producer ran")
+
+    monkeypatch.setattr(cli, "u2_threshold_decompose", refuse)
+    rc = main(["decompose", "--p", "262139", "--fn", "spike",
+               "--out", str(tmp_path / "d.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    # the message the verifier's naive U^2 of fc gives
+    with pytest.raises(BudgetExceeded) as refused:
+        gowers_norm(constant_function(make_field(262139), 0), 2)
+    assert err == [f"ffprog: error: {refused.value}"]
+
+
+def run_ffprog(*argv):
+    """Run the command line in a fresh interpreter: (exit code, stderr)."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ffprog.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "ffprog.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+def test_decompose_warns_once_on_stderr(tmp_path):
+    # producer and verifier both find the budget condition failing
+    rc, err = run_ffprog("decompose", "--p", "101", "--seed", "11",
+                         "--out", str(tmp_path / "d.jsonl"))
+    assert rc == 0
+    assert err.count("BudgetConditionWarning") == 1
+
+
+def test_decompose_quiet_warnings_prints_nothing(tmp_path):
+    rc, err = run_ffprog("decompose", "--p", "101", "--seed", "11",
+                         "--quiet-warnings", "--out", str(tmp_path / "d.jsonl"))
+    assert rc == 0
+    assert err == ""
 
 
 # --------------------------------------------------------------------------
@@ -544,8 +608,6 @@ def test_cs_check_reruns_are_identical(tmp_path):
 
 def test_cs_check_refuses_its_budget_before_the_first_draw(tmp_path, capsys,
                                                            monkeypatch):
-    import ffprog.cli as cli
-
     def refuse(*args):
         raise AssertionError("a factor was drawn")
 
@@ -646,6 +708,8 @@ BAD_VALUES = [
     ["base-scan", "--p1", "y", "--pmin", "31", "--pmax", "31",
      "--density", "-1"],
     ["cs-check", "--p", "4001", "--s", "2"],    # 2 q^s over the budget
+    ["extremal", "--p", "1009", "--polys", "y,y^2"],   # over the bitset cap
+    ["decompose", "--p", "262139", "--fn", "spike"],   # verifier's q^2
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     rc = main(argv + ["--out", str(tmp_path / "x.jsonl")]

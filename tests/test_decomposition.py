@@ -291,6 +291,20 @@ def test_verifier_catches_cheating_certificates():
     assert any("U^2" in d for d in res.diagnostics)
 
 
+def test_verifier_refuses_before_any_norm(monkeypatch):
+    import ffprog.decomposition as decomposition
+
+    def refuse(*args):
+        raise AssertionError("a norm was computed")
+
+    monkeypatch.setattr(decomposition, "lp_norm", refuse)
+    monkeypatch.setattr(decomposition, "u2_dual_upper_bound", refuse)
+    zero = constant_function(make_field(4099), 0)   # q^2 > 2^24
+    with pytest.raises(BudgetExceeded,
+                       match=r"U\^2 on q = 4099 holds q\^s = 16801801 "):
+        verify_decomposition(zero, zero, zero, zero, SCHEDULE_BUDGET)
+
+
 def test_verifier_partial_without_dual_certificate_at_s3():
     bud3 = budget("1/8", "1/256", "1/128", "1/16", s=3)
     f = phase_fn(F101, 7)

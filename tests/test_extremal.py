@@ -293,9 +293,9 @@ def test_r_exact_matches_sweep_on_invariant_hypergraphs(case):
 def test_bitset_limit():
     field = make_field(521)
     hg = ProgressionHypergraph(field, (), "nonzero", "paper_literal")
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidRange, match="q <= 512, got q = 521"):
         r_exact(hg)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidRange, match="q <= 512, got q = 521"):
         r_lower_random(hg, 5, seed=1)
 
 

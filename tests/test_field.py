@@ -10,13 +10,16 @@ experiment downstream).
 
 import math
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from ffprog.errors import (DegreeMismatch, DivisionByZero, FieldMismatch,
-                           InvalidRange, NotPrime, ReducibleModulus)
+from ffprog import errors
+from ffprog.errors import (BudgetExceeded, DegreeMismatch, DivisionByZero,
+                           FieldMismatch, InvalidRange, NotPrime,
+                           ReducibleModulus)
 from ffprog.field import (_MR_EXACT_BELOW, _TRIAL_DIVISORS, FieldSpec,
                           _is_irreducible, _periodic, _prime_factors, _shifted,
                           character_eval, enumerate_elements, field_arith,
@@ -293,6 +296,42 @@ def test_fieldspec_equality_ignores_caches():
     F2 = make_field(5, 2)
     assert F1 == F2
     assert isinstance(F1, FieldSpec)
+
+
+@pytest.mark.parametrize("table,name", [
+    ("character_matrix", "character matrix"),
+    ("add_index_table", "addition table"),
+])
+def test_tables_over_the_budget_are_refused_before_allocation(table, name):
+    F = make_field(17, 3)  # q = 4913: q^2 = 24137569 entries > 2^24
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=(
+                rf"{name} on q = 4913 holds q\^2 = 24137569 complex values "
+                r"\(368 MiB\), over the budget of 16777216 values")):
+            getattr(F, table)()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one table is at least 184 MiB
+
+
+def test_tables_build_at_the_budget_and_are_refused_one_under(monkeypatch):
+    monkeypatch.setattr(errors, "BUDGET", 49)
+    F = make_field(7)
+    assert F.character_matrix().shape == F.add_index_table().shape == (7, 7)
+    monkeypatch.setattr(errors, "BUDGET", 48)
+    F = make_field(7)  # a fresh field: no cached tables
+    for table in (F.character_matrix, F.add_index_table):
+        with pytest.raises(BudgetExceeded, match=r"q\^2 = 49 complex values"):
+            table()
+
+
+def test_character_matrix_still_builds_at_q_4001():
+    # the largest prime-sweep field; the benchmark's spike reads a row
+    chi = make_field(4001).character_matrix()
+    assert chi.shape == (4001, 4001)
+    assert chi[1, 1] == pytest.approx(np.exp(2j * np.pi / 4001), abs=1e-12)
 
 
 # -- primality and factoring -------------------------------------------------

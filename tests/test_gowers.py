@@ -13,6 +13,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from ffprog import errors
 from ffprog.errors import (BudgetExceeded, InvalidRange, NotOneBounded)
 from ffprog.field import FieldSpec, make_field
 from ffprog.functions import (character_function, dense_function, indicator,
@@ -158,15 +159,16 @@ def test_norm_is_shift_and_phase_invariant():
 
 # -- guardrails ------------------------------------------------------------------
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
     f = random_one_bounded(make_field(101), 1)
     with pytest.raises(BudgetExceeded,
                        match=r"q\^s = 104060401 complex values \(1588 MiB\)"):
         gowers_norm(f, 4)  # 101^4 values > 2^24
     # the same function fits at s = 3
     assert gowers_norm(f, 3).value <= 1 + 1e-9
+    monkeypatch.setattr(errors, "BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        gowers_norm(random_one_bounded(F7, 2), 2, budget=10)
+        gowers_norm(random_one_bounded(F7, 2), 2)
 
 
 def test_naive_norms_never_build_the_addition_table(monkeypatch):
@@ -259,7 +261,7 @@ def test_cs_sides_are_bit_equal_at_s2(p, k):
         assert chk.lhs == chk.rhs
 
 
-def test_cs_guardrails():
+def test_cs_guardrails(monkeypatch):
     F = two_var_rand(F7, 20)
     with pytest.raises(InvalidRange):
         check_cs_inequality([F], 1)
@@ -269,16 +271,19 @@ def test_cs_guardrails():
         cs_project([], [])
     with pytest.raises(NotOneBounded):
         check_cs_inequality([two_var_rand(F7, 21, scale=3.0)], 2)
+    monkeypatch.setattr(errors, "BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        check_cs_inequality([F], 3, budget=100)
+        check_cs_inequality([F], 3)
 
 
-def test_cs_guard_states_the_values_it_holds():
+def test_cs_guard_states_the_values_it_holds(monkeypatch):
     # the product of the differenced factors and one more factor's
     # differences: 2 q^s complex values at once
     fs = [two_var_rand(F7, 22), two_var_rand(F7, 23)]
+    monkeypatch.setattr(errors, "BUDGET", 4801)
     with pytest.raises(BudgetExceeded,
                        match=r"s = 4 on q = 7 holds 2 q\^s = 4802 complex "
                              r"values \(0 MiB\), over the budget of 4801"):
-        check_cs_inequality(fs, 4, budget=4801)
-    assert check_cs_inequality(fs, 4, budget=4802).holds
+        check_cs_inequality(fs, 4)
+    monkeypatch.setattr(errors, "BUDGET", 4802)
+    assert check_cs_inequality(fs, 4).holds
