@@ -181,7 +181,8 @@ def verify_decomposition(f: DenseFunction, fa: DenseFunction, fb: DenseFunction,
     caller-supplied certified dual_upper is compared instead (without one
     the result is 'partial': three checks passed or failed on evidence,
     the dual left open).  The parts must reassemble f exactly (1e-10 sup).
-    Refuses (BudgetExceeded) first when the U^s norm of fc would not fit.
+    Refuses (BudgetExceeded) first when the U^s norm of fc would form
+    more than BUDGET values.
     """
     field = f.field
     for part in (fa, fb, fc):

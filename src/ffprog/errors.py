@@ -112,10 +112,10 @@ class IndexOutOfRange(FFProgError):
 
 
 class BudgetExceeded(FFProgError):
-    """The requested computation would hold more than BUDGET values."""
+    """The requested computation would hold or form more than BUDGET values."""
 
 
-BUDGET = 1 << 24  # complex values one computation may hold (256 MiB)
+BUDGET = 1 << 24  # complex values one computation may hold or form (256 MiB)
 
 
 def _check_budget(head: str, held: int) -> None:

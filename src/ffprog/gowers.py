@@ -10,10 +10,10 @@ s - 1 times in one loop: each level multiplies every translate of every
 row, viewed at once through a sliding window over field._periodic, by the
 row's conjugate, so level j holds q^j rows of q values.  The remaining
 double average factors exactly as E_{x,h} Delta_h g(x) = |E g|^2, which
-makes the result a mean of nonnegative terms by construction.  The final
-array dominates the cost: q^s complex values, 16 bytes each.  Above
-errors.BUDGET (2^24 values, 256 MiB, so naive U^2 reaches q = 4096) the
-norm is refused with BudgetExceeded before anything is allocated.
+makes the result a mean of nonnegative terms by construction.  The last
+level is formed a slab at a time and only its row means are kept, so a
+norm forms q^s values but holds q^(s-1); above errors.BUDGET formed values
+(2^24, so naive U^2 reaches q = 4096) it is refused with BudgetExceeded.
 
 At s = 2 an independent route exists through the character basis:
 
@@ -59,6 +59,7 @@ from .functions import (
 )
 
 _NEG_TOL = 1e-9
+_SLAB = 1 << 12  # last-level values formed at once (64 KiB), see _level_power
 
 
 @dataclass(frozen=True)
@@ -75,45 +76,70 @@ class GowersNormValue:
                 f"raw U^{self.s} power {self.raw_power} below -{_NEG_TOL}")
 
 
-def _differences(field: FieldSpec, rows: np.ndarray, levels: int) -> np.ndarray:
-    """Difference every row of an (n, q) stack `levels` times.
+def _next_level(field: FieldSpec, rows: np.ndarray):
+    """Views whose product is the next difference level of an (n, q) stack.
 
-    A level turns n rows into q * n; row (h, r) is x -> row_r(x + h)
-    conj(row_r(x)).
+    Row (h, r) of the level is x -> row_r(x + h) conj(row_r(x)), that is
+    windows[h, r] * conj[r], with h and x on the (p,)*k grid.
     """
-    p, k, q = field.p, field.k, field.q
+    p, k = field.p, field.k
+    windows = sliding_window_view(_periodic(field, rows.T), (p,) * k,
+                                  axis=tuple(range(k)))
+    return windows, np.conj(rows).reshape((len(rows),) + (p,) * k)
+
+
+def _differences(field: FieldSpec, rows: np.ndarray, levels: int) -> np.ndarray:
+    """Difference every row of an (n, q) stack `levels` times: n -> q n rows."""
     for _ in range(levels):
-        n = rows.shape[0]
-        windows = sliding_window_view(_periodic(field, rows.T), (p,) * k,
-                                      axis=tuple(range(k)))
-        out = np.empty((q * n, q), dtype=np.complex128)
-        np.multiply(windows, np.conj(rows).reshape((n,) + (p,) * k),
-                    out=out.reshape((p,) * k + (n,) + (p,) * k))
-        rows = out
+        windows, conj = _next_level(field, rows)
+        rows = np.empty((windows.size // field.q, field.q), np.complex128)
+        np.multiply(windows, conj, out=rows.reshape(windows.shape))
     return rows
 
 
-def _mean_square_mean(rows: np.ndarray) -> float:
-    """Mean over rows of |E_x row(x)|^2."""
-    means = rows.mean(axis=1)
+def _mean_square(means: np.ndarray) -> float:
+    """Mean of |m|^2 over the row means m."""
     return float((means.real ** 2 + means.imag ** 2).mean())
 
 
+def _level_power(field: FieldSpec, rows: np.ndarray) -> float:
+    """_mean_square of the row means of the next level, never held whole.
+
+    The level is formed _SLAB values (or one first-shift slice) at a time
+    in one buffer, so repeated norms reuse a few heap pages instead of
+    faulting in a fresh q n x q array each.  Each row mean is taken over
+    the same values as on the whole level, so the result is bit for bit
+    that of _differences(field, rows, 1).
+    """
+    windows, conj = _next_level(field, rows)
+    q, per = field.q, windows[0].size // field.q   # rows per first shift
+    step = max(1, _SLAB // (per * q))
+    buf = np.empty(step * per * q, dtype=np.complex128)
+    means = np.empty(q * len(rows), dtype=np.complex128)
+    for h in range(0, field.p, step):
+        part = windows[h:h + step]
+        out = buf[:part.size].reshape(part.shape)
+        np.multiply(part, conj, out=out)
+        out.reshape(-1, q).mean(axis=1, out=means[h * per:(h + step) * per])
+    return _mean_square(means)
+
+
 def _check_norm_budget(q: int, s: int) -> None:
-    """Refuse (BudgetExceeded) a naive U^s whose q^s values exceed BUDGET."""
-    _check_budget(f"U^{s} on q = {q} holds q^s", q ** s)
+    """Refuse (BudgetExceeded) a naive U^s that forms q^s > BUDGET values."""
+    _check_budget(f"U^{s} on q = {q} forms q^s", q ** s)
 
 
 def gowers_norm(f: DenseFunction, s: int) -> GowersNormValue:
     """Naive U^s norm by direct averaging of iterated derivatives.
 
-    Refuses (BudgetExceeded) when its q^s complex values exceed BUDGET.
+    Refuses (BudgetExceeded) when the q^s values it forms exceed BUDGET.
     """
     if s < 1:
         raise InvalidRange(f"U^s needs s >= 1, got {s}")
     _check_norm_budget(f.field.q, s)
-    raw = _mean_square_mean(
-        _differences(f.field, f.values.reshape(1, f.field.q), s - 1))
+    rows = f.values.reshape(1, f.field.q)
+    raw = (_mean_square(rows.mean(axis=1)) if s == 1 else
+           _level_power(f.field, _differences(f.field, rows, s - 2)))
     raw = max(raw, 0.0)
     return GowersNormValue(s, raw ** (1.0 / (1 << s)), raw)
 
@@ -201,5 +227,5 @@ def check_cs_inequality(fs, s: int) -> CsCheck:
     # averages exactly as cs_project does
     F_hs = np.ascontiguousarray(
         prod.reshape(-1, q, q).transpose(0, 2, 1)).mean(axis=2)
-    rhs = _mean_square_mean(_differences(field, F_hs, 1))
+    rhs = _level_power(field, F_hs)
     return CsCheck(s, lhs, rhs, lhs <= rhs + 1e-9, q ** (s - 2))

@@ -301,7 +301,7 @@ def test_verifier_refuses_before_any_norm(monkeypatch):
     monkeypatch.setattr(decomposition, "u2_dual_upper_bound", refuse)
     zero = constant_function(make_field(4099), 0)   # q^2 > 2^24
     with pytest.raises(BudgetExceeded,
-                       match=r"U\^2 on q = 4099 holds q\^s = 16801801 "):
+                       match=r"U\^2 on q = 4099 forms q\^s = 16801801 "):
         verify_decomposition(zero, zero, zero, zero, SCHEDULE_BUDGET)
 
 

@@ -18,6 +18,7 @@ from ffprog.errors import (BudgetExceeded, InvalidRange, NotOneBounded)
 from ffprog.field import FieldSpec, make_field
 from ffprog.functions import (character_function, dense_function, indicator,
                               inner, random_one_bounded, two_var_function)
+from ffprog import gowers
 from ffprog.gowers import (GowersNormValue, check_cs_inequality, cs_project,
                            gowers_norm, gowers_u2_via_fourier,
                            u2_dual_upper_bound)
@@ -74,7 +75,7 @@ def test_gowers_norm_matches_brute_force(s, field):
 
 
 def test_u2_fourier_route_agrees_with_naive():
-    # GF(1009): U^2 there holds 1009^2 values, inside the default budget
+    # GF(1009): U^2 there forms 1009^2 values, inside the default budget
     for field in (F7, make_field(3, 2), make_field(11), make_field(1009)):
         for seed in range(5):
             f = rand_fn(field, 900 + seed, scale=2.0)  # not 1-bounded: fine
@@ -183,6 +184,33 @@ def test_naive_norms_never_build_the_addition_table(monkeypatch):
                 u_raw_power_oracle(f, s), abs=1e-10)
         fs = [two_var_rand(field, 32), two_var_rand(field, 33)]
         assert check_cs_inequality(fs, 3).holds
+
+
+@pytest.mark.parametrize("p,k,n", [(11, 2, 1), (5, 3, 1), (2, 6, 1),
+                                   (503, 1, 1), (7, 1, 49), (3, 3, 27),
+                                   (2, 4, 16)])
+def test_slab_level_power_is_bit_equal_to_the_whole_level(p, k, n):
+    # one slab (2^6), several (11^2, 5^3, 503) and slices over _SLAB
+    # values (n > 1, the s = 3 stacks) against the level held whole
+    field = make_field(p, k)
+    rng = np.random.default_rng(p + k + n)
+    rows = np.exp(2j * np.pi * rng.random((n, field.q)))
+    whole = gowers._differences(field, rows, 1).mean(axis=1)
+    assert (gowers._level_power(field, rows)
+            == float((whole.real ** 2 + whole.imag ** 2).mean()))
+
+
+def test_naive_u2_never_holds_its_last_level():
+    import tracemalloc
+
+    f = random_one_bounded(make_field(4001), 5)
+    tracemalloc.start()
+    try:
+        gowers_norm(f, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20   # the q^2 level it forms is 244 MiB
 
 
 def test_invalid_s_and_negative_raw():
