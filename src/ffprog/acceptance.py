@@ -21,8 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import (additive_monomial_sums, count_progressions,
-                       lambda_average, twist_rewrite_check, weil_sum)
+from .counting import (_main_term, _weil_verdict, additive_monomial_sums,
+                       count_progressions, lambda_average,
+                       twist_rewrite_check, weil_sum)
 from .decomposition import (budget_from_schedule, u2_threshold_decompose,
                             verify_decomposition)
 from .extremal import build_hypergraph, r_exact
@@ -112,16 +113,12 @@ def criterion_3() -> CriterionResult:
     violations = 0
     worst_margin = -1.0
     for p in primes:
-        for d in (2, 3, 4):
-            if d >= p:
-                continue
-            sums = additive_monomial_sums(p, d)
-            bound = (d - 1) / p ** 0.5
-            mags = np.abs(sums[1:])
-            checked += mags.size
-            over = int(np.sum(mags > bound + 1e-12))
-            violations += over
-            worst_margin = max(worst_margin, float(mags.max()) - bound)
+        for d in (2, 3, 4):  # d < p, as p >= 5
+            sums = additive_monomial_sums(p, d)[1:]
+            _, bound, ok = _weil_verdict(make_field(p), [0] * d + [1], sums)
+            checked += ok.size
+            violations += int(np.sum(~ok))
+            worst_margin = max(worst_margin, np.abs(sums).max() - bound)
     # tie in the single-instance operation on a spot check
     w = weil_sum(make_field(7), [int_poly([0, 0, 1])], [3])
     spot_ok = w.within_bound
@@ -154,31 +151,30 @@ def _oracle_count(p: int, systems_coeffs, A) -> int:
     return count
 
 
+def _criterion_4_sets():
+    """(F, A): every subset of F_5, F_7 and F_11, then 200 random ones of
+    F_31 and of F_101."""
+    for q in (5, 7, 11):
+        F = make_field(q)
+        for bits in range(1 << q):
+            yield F, [i for i in range(q) if bits >> i & 1]
+    for q in (31, 101):
+        F, rng = make_field(q), SplitMix64(derive_seed(MASTER_SEED, 4, q))
+        for _ in range(200):
+            yield F, rng.subset(q, 0.5)
+
+
 def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
     system = progression_system(["y", "y^2"])
     coeffs = [[0, 1], [0, 0, 1]]
     mismatches = 0
     cells = 0
-    for q in (5, 7, 11):
-        F = make_field(q)
-        for bits in range(1 << q):
-            A = [i for i in range(q) if bits >> i & 1]
-            got = count_progressions(system, A, y_rule="all", field=F)
-            want = _oracle_count(q, coeffs, A)
-            cells += 1
-            if got != want:
-                mismatches += 1
-    for q in (31, 101):
-        F = make_field(q)
-        rng = SplitMix64(derive_seed(MASTER_SEED, 4, q))
-        for _ in range(200):
-            A = rng.subset(q, 0.5)
-            got = count_progressions(system, A, y_rule="all", field=F)
-            want = _oracle_count(q, coeffs, A)
-            cells += 1
-            if got != want:
-                mismatches += 1
+    for F, A in _criterion_4_sets():
+        got = count_progressions(system, A, y_rule="all", field=F)
+        cells += 1
+        if got != _oracle_count(F.p, coeffs, A):
+            mismatches += 1
     dt = time.perf_counter() - t0
     ok = mismatches == 0
     return CriterionResult(
@@ -304,7 +300,7 @@ def criterion_7() -> CriterionResult:
             A = rng.subset(p, 0.5)
             n = len(A)
             count = count_progressions(system, A, y_rule="all", field=F)
-            err = abs(count - n ** 3 / p)
+            err = abs(count - p * p * _main_term(F, [n / p] * (system.m1 + 1)))
             cells += 1
             if err <= 10.0 * n ** 1.5 * p ** 0.4:
                 within += 1

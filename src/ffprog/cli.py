@@ -35,7 +35,9 @@ Conventions shared by every subcommand:
   emitted before exiting).
 
 Set sources (`--set`): `random:DENSITY[:seedN]`, `explicit:i,j,k`,
-`file:PATH` (JSON array of element indices), or `all`.
+`file:PATH` (JSON array of element indices), or `all`.  Twist labels
+(`--psi`, in base-scan and verify-theorem) are element indices read mod q,
+so a multiple of q names the trivial character.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .counting import (_base_case_system, _weil_sweep, base_case_report,
-                       count_progressions, lambda_average)
+from .counting import (_base_case_system, _main_term, _weil_sweep,
+                       _weil_verdict, base_case_report, count_progressions,
+                       lambda_average)
 from .decomposition import (budget, budget_from_schedule,
                             u2_threshold_decompose, verify_decomposition)
 from .errors import FFProgError, ThresholdViolation
@@ -235,8 +238,7 @@ def _cmd_count(args, seed: int, ledger: Ledger) -> int:
     count = count_progressions(system, A, y_rule=args.y_rule, field=field)
     q = field.q
     ys = q if args.y_rule == "all" else q - 1
-    m1 = system.m1
-    main = n ** (m1 + 1) / q ** (m1 - 1) * (ys / q)
+    main = q * ys * _main_term(field, [n / q] * (system.m1 + 1))
     err = count - main
     bc_ratio = abs(err) / (n ** 1.5 * q ** 0.4) if n else 0.0
     ledger.write(system=str(system), p=field.p, k=field.k, set=echo,
@@ -258,31 +260,24 @@ def _cmd_norms(args, seed: int, ledger: Ledger) -> int:
     return 0
 
 
-def _weil_cell(p: int, coeffs) -> dict:
-    red = [c % p for c in coeffs]
-    d = max((i for i, c in enumerate(red) if c), default=0)
-    if d < 1:
-        return {"p": p, "degree": d, "max_scaled": None, "bound": None,
-                "within": None, "note": "degenerate modulo p"}
-    sums = _weil_sweep(p, red)
-    max_scaled = float(np.abs(sums[1:]).max() * math.sqrt(p))
-    return {"p": p, "degree": d, "max_scaled": max_scaled,
-            "bound": float(d - 1),
-            "within": bool(max_scaled <= (d - 1) + 1e-12 * math.sqrt(p))}
-
-
 def _cmd_weil_scan(args, seed: int, ledger: Ledger) -> int:
     poly = parse_poly(args.poly)
     ledger.csv_row(["p", "max_scaled", "bound"])
     failures = []
     for p in _primes(args.pmin, args.pmax):
-        row = _weil_cell(p, poly.coeffs)
-        ledger.write(**row)
-        if row["within"] is not None:
-            ledger.csv_row([row["p"], row["max_scaled"], row["bound"]])
-            if not row["within"]:
-                failures.append({"p": row["p"], "max_scaled": row["max_scaled"],
-                                 "bound": row["bound"]})
+        field = make_field(p)
+        sums = _weil_sweep(field, poly)[1:]
+        d, _, within = _weil_verdict(field, poly.coeffs, sums)
+        if d < 1:
+            ledger.write(p=p, degree=d, max_scaled=None, bound=None,
+                         within=None, note="degenerate modulo p")
+            continue
+        cell = {"max_scaled": float(np.abs(sums).max() * math.sqrt(p)),
+                "bound": float(d - 1)}
+        ledger.write(p=p, degree=d, **cell, within=bool(within.all()))
+        ledger.csv_row([p, *cell.values()])
+        if not within.all():
+            failures.append({"p": p, **cell})
     return ledger.finish(failures)
 
 
@@ -438,9 +433,9 @@ def _cmd_verify_theorem(args, seed: int, ledger: Ledger) -> int:
 
     For each prime and trial, draws a random set A of the given density,
     computes the exact count, the predicted main term (zero when any twist
-    character is nontrivial) and the count-level error q^2 |Lambda - main|,
-    and finally fits log max-error against log q.  The fit is evidence, not
-    proof; records are tagged accordingly.
+    character is nontrivial, labels read mod q) and the count-level error
+    q^2 |Lambda - main|, and finally fits log max-error against log q.  The
+    fit is evidence, not proof; records are tagged accordingly.
     """
     system = progression_system(
         [s.strip() for s in args.polys.split(",")],
@@ -453,7 +448,6 @@ def _cmd_verify_theorem(args, seed: int, ledger: Ledger) -> int:
             f"primes {below} lie below the system threshold "
             f"{system.threshold}; pass --allow-below-threshold to proceed")
     max_err: dict[int, float] = {}
-    rows = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for p in primes:
@@ -466,24 +460,18 @@ def _cmd_verify_theorem(args, seed: int, ledger: Ledger) -> int:
                 fs = [indicator(field, idx)] * (system.m1 + 1)
                 gs = [character_function(field, a) for a in psi]
                 value = lambda_average(system, fs, gs)
-                trivial = all(a == 0 for a in psi)
-                main = (n / q) ** (system.m1 + 1) if trivial else 0.0
+                main = _main_term(field, [n / q] * (system.m1 + 1), psi)
                 scaled_err = abs(value - main) * q * q
                 max_err[p] = max(max_err.get(p, 0.0), scaled_err)
                 ledger.write(p=p, trial=trial, set_size=n,
                              value_re=value.real, value_im=value.imag,
                              main_term=main, scaled_error=scaled_err)
-                rows += 1
     pts = [(math.log(p), math.log(e)) for p, e in sorted(max_err.items())
            if e > 0]
-    slope = None
-    if len(pts) >= 2:
-        xs = np.array([x for x, _ in pts])
-        ys = np.array([y for _, y in pts])
-        slope = float(np.polyfit(xs, ys, 1)[0])
+    slope = float(np.polyfit(*zip(*pts), 1)[0]) if len(pts) >= 2 else None
     ledger.write(record="fit", points=len(pts), error_exponent=slope,
-                 note="empirical evidence only", rows=rows,
-                 below_threshold=below)
+                 note="empirical evidence only",
+                 rows=len(primes) * args.trials, below_threshold=below)
     return 0
 
 
@@ -556,7 +544,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--p1", required=True, help="progression polynomial")
     sp.add_argument("--qs", default=None, help="comma list of twist polys")
     sp.add_argument("--psi", default=None,
-                    help="comma list of twist character indices")
+                    help="comma list of twist character indices, mod q")
     sp.add_argument("--trials", type=int, default=5)
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--quiet-warnings", action="store_true")
@@ -625,7 +613,8 @@ def build_parser() -> _Parser:
                         help="empirical main-term/error sweep across primes")
     sp.add_argument("--polys", required=True)
     sp.add_argument("--qs", default=None)
-    sp.add_argument("--psi", default=None)
+    sp.add_argument("--psi", default=None,
+                    help="comma list of twist character indices, mod q")
     sp.add_argument("--pmin", type=int, default=31)
     sp.add_argument("--pmax", type=int, default=199)
     sp.add_argument("--trials", type=int, default=5)

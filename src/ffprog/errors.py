@@ -36,6 +36,8 @@ __all__ = [
     "BudgetConditionWarning",
 ]
 
+import numpy as np
+
 
 class FFProgError(Exception):
     """Base class for all errors raised by this package."""
@@ -115,14 +117,16 @@ class BudgetExceeded(FFProgError):
     """The requested computation would hold or form more than BUDGET values."""
 
 
-BUDGET = 1 << 24  # complex values one computation may hold or form (256 MiB)
+BUDGET = 1 << 24  # values one computation may hold or form (256 MiB complex)
 
 
-def _check_budget(head: str, held: int) -> None:
-    """The one size guard: refuse `held` > BUDGET values before allocating."""
+def _check_budget(head: str, held: int, kind: str = "complex") -> None:
+    """The one size guard: refuse `held` > BUDGET values of numpy dtype
+    `kind` before allocating, stating their bytes."""
     if held > BUDGET:
+        mib = held * np.dtype(kind).itemsize / 2 ** 20
         raise BudgetExceeded(
-            f"{head} = {held} complex values ({held * 16 / 2 ** 20:.0f} MiB), "
+            f"{head} = {held} {kind} values ({mib:.0f} MiB), "
             f"over the budget of {BUDGET} values")
 
 

@@ -361,7 +361,8 @@ class FieldSpec:
     def add_index_table(self) -> np.ndarray:
         """q x q table: entry (i, j) is the index of e_i + e_j."""
         if "add" not in self._cache:
-            _check_budget(f"addition table on q = {self.q} holds q^2", self.q ** 2)
+            _check_budget(f"addition table on q = {self.q} holds q^2",
+                          self.q ** 2, "int64")
             c = self._coeff_matrix()
             sums = (c[:, None, :] + c[None, :, :]) % self.p
             self._cache["add"] = sums @ self._place_values()

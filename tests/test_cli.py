@@ -369,6 +369,21 @@ def test_verify_theorem_refuses_psi_without_twists(tmp_path, capsys):
     assert err == ["ffprog: error: need 0 twist functions, got 1"]
 
 
+def test_verify_theorem_reads_psi_labels_mod_p(tmp_path):
+    # psi = 31 and 62 name the trivial character on F_31, as psi = 0 does
+    rows = {}
+    for psi in ("0", "31", "62"):
+        rc, recs = run_cli(tmp_path, "verify-theorem", "--polys", "y",
+                           "--qs", "y^2", "--psi", psi, "--pmin", "31",
+                           "--pmax", "31", "--trials", "1", "--seed", "3")
+        assert rc == 0
+        rows[psi] = recs[0]
+    for psi in ("31", "62"):
+        for key in ("main_term", "value_re", "value_im"):
+            assert rows[psi][key] == rows["0"][key]
+        assert rows[psi]["scaled_error"] < 1e-9
+
+
 # --------------------------------------------------------------------------
 # extremal
 # --------------------------------------------------------------------------

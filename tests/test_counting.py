@@ -19,12 +19,13 @@ from ffprog.errors import (ArityMismatch, CharacteristicWarning,
                            DegenerateCombination, DependentSystem,
                            ElementOutOfField, EmptyInput, FieldMismatch,
                            IndexOutOfRange, InvalidRange, NonzeroConstantTerm,
-                           TwistedSystem, ZeroPolynomial)
-from ffprog.field import character_eval, make_field
+                           NotPrime, TwistedSystem, ZeroPolynomial)
+from ffprog.field import character_eval, is_prime, make_field
 from ffprog.functions import (character_function, dense_function, indicator,
                               random_one_bounded)
 from ffprog.counting import (BaseCaseReport, LambdaResult, WeilSum,
-                             additive_monomial_sums, base_case_report,
+                             _weil_sweep, additive_monomial_sums,
+                             base_case_report,
                              count_progressions, lambda_average,
                              main_term_error, poly_index_table,
                              twist_rewrite_check, weil_sum)
@@ -450,6 +451,43 @@ def test_additive_monomial_sums_match_weil_sum():
                                             abs=1e-12)
     with pytest.raises(InvalidRange):
         additive_monomial_sums(7, 0)
+
+
+def horner_sweep(p, coeffs):
+    """E_y e_p(a P(y)) for every a in F_p: P by integer Horner over
+    arange(p), then one inverse DFT of its value histogram."""
+    y = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        vals = (vals * y + c % p) % p
+    return np.fft.ifft(np.bincount(vals, minlength=p))
+
+
+@pytest.mark.parametrize("text", ["y^2", "y^3", "y^4", "y^3 + 2y"])
+def test_sweep_is_bit_equal_to_the_prime_horner_sweep(text):
+    poly = parse_poly(text)
+    primes = [p for p in range(5, 4002) if is_prime(p)][::7] + [4001]
+    for p in primes:
+        want = horner_sweep(p, poly.coeffs)
+        assert np.array_equal(_weil_sweep(make_field(p), poly), want), p
+
+
+@pytest.mark.parametrize("p,k", [(5, 3), (3, 4), (2, 6), (11, 2)])
+def test_sweep_matches_weil_sum_on_extension_fields(p, k):
+    field = make_field(p, k)
+    for text in ("y^2", "y^3 + 2y"):
+        poly = parse_poly(text)
+        sums = _weil_sweep(field, poly)
+        assert abs(sums[0] - 1) < 1e-12
+        for a in range(1, field.q):
+            want = weil_sum(field, [poly], [a]).value
+            assert abs(sums[a] - want) < 1e-12, (text, a)
+
+
+def test_additive_monomial_sums_refuse_a_composite_p():
+    for n in (15, 1):
+        with pytest.raises(NotPrime):
+            additive_monomial_sums(n, 2)
 
 
 # -- index tables -------------------------------------------------------------------------

@@ -304,11 +304,13 @@ def test_fieldspec_equality_ignores_caches():
 ])
 def test_tables_over_the_budget_are_refused_before_allocation(table, name):
     F = make_field(17, 3)  # q = 4913: q^2 = 24137569 entries > 2^24
+    values = {"character_matrix": r"complex values \(368 MiB\)",
+              "add_index_table": r"int64 values \(184 MiB\)"}[table]
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match=(
-                rf"{name} on q = 4913 holds q\^2 = 24137569 complex values "
-                r"\(368 MiB\), over the budget of 16777216 values")):
+                rf"{name} on q = 4913 holds q\^2 = 24137569 {values}, "
+                r"over the budget of 16777216 values")):
             getattr(F, table)()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -322,8 +324,9 @@ def test_tables_build_at_the_budget_and_are_refused_one_under(monkeypatch):
     assert F.character_matrix().shape == F.add_index_table().shape == (7, 7)
     monkeypatch.setattr(errors, "BUDGET", 48)
     F = make_field(7)  # a fresh field: no cached tables
-    for table in (F.character_matrix, F.add_index_table):
-        with pytest.raises(BudgetExceeded, match=r"q\^2 = 49 complex values"):
+    for table, kind in ((F.character_matrix, "complex"),
+                        (F.add_index_table, "int64")):
+        with pytest.raises(BudgetExceeded, match=rf"q\^2 = 49 {kind} values"):
             table()
 
 
