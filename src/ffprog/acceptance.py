@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import (_main_term, _weil_verdict, additive_monomial_sums,
+from .counting import (_main_term, _weil_sweep, _weil_verdict,
                        count_progressions, lambda_average,
                        twist_rewrite_check, weil_sum)
 from .decomposition import (budget_from_schedule, u2_threshold_decompose,
@@ -113,9 +113,11 @@ def criterion_3() -> CriterionResult:
     violations = 0
     worst_margin = -1.0
     for p in primes:
+        field = make_field(p)
         for d in (2, 3, 4):  # d < p, as p >= 5
-            sums = additive_monomial_sums(p, d)[1:]
-            _, bound, ok = _weil_verdict(make_field(p), [0] * d + [1], sums)
+            monomial = int_poly([0] * d + [1])
+            sums = _weil_sweep(field, monomial)[1:]
+            _, bound, ok = _weil_verdict(field, monomial.coeffs, sums)
             checked += ok.size
             violations += int(np.sum(~ok))
             worst_margin = max(worst_margin, np.abs(sums).max() - bound)

@@ -10,8 +10,16 @@ attached to a validated system (P; Q).  With every f_i = 1_A and no twist,
 q^2 * Lambda counts the pairs (x, y) whose whole progression {x, x+P_i(y)}
 lies in A.  One kernel, _y_sums, gives S(y) = sum_x f_0(x) prod_i
 f_i(x + P_i(y)) for every y in its inputs' dtype: Lambda weights S by the
-twists, and count_progressions sums it on int64 indicators, exactly.  The
-tests' pure-integer count oracle and direct double-loop averages audit it.
+twists, and count_progressions sums it on int64 indicators.  It has two
+routes, picked by the input values alone.  When every value is 0 or 1,
+each product is 0 or 1 and S(y) counts the x where all factors are 1: the
+bit-packed route ANDs packed rows of the translated indicators for a block
+of y at once and popcounts them, on every GF(p^k) alike.  Its int64 sums
+are cast to the inputs' dtype; sums of 0/1 products below 2^53 are exact
+in float too, so the result is bit-identical to the other route, the
+per-y view loop, which multiplies translated windows and takes every
+other input (and is the packed route's test oracle).  The tests'
+pure-integer count oracle and direct double-loop averages audit both.
 The expected main term for an untwisted average of indicators is
 (|A|/q)^(m1+1), i.e. counts of order |A|^(m1+1) / q^(m1-1).
 
@@ -61,6 +69,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ArityMismatch,
@@ -98,9 +107,21 @@ def poly_index_table(poly: IntPoly, field: FieldSpec) -> np.ndarray:
     return _eval_indices(field, poly.coeffs)
 
 
+_PACK_WORDS = 1 << 14  # uint64 words gathered per block of y (128 KiB)
+
+
 def _y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
     """S(y) = sum_x f_0(x) prod_i f_i(x + P_i(y)) for every y, F_values
-    f_0 first, in their dtype (int64 indicators give exact counts)."""
+    f_0 first, in their dtype: bit-packed when every value is 0 or 1,
+    else by the per-y view loop."""
+    if all(np.all((v == 0) | (v == 1)) for v in F_values):
+        sums = _packed_y_sums(field, P, F_values)
+        return sums.astype(np.result_type(*F_values), copy=False)
+    return _view_y_sums(field, P, F_values)
+
+
+def _view_y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
+    """S(y) for any values: one product of translated views per y."""
     tables = [poly_index_table(p, field) for p in P]
     f0 = F_values[0].reshape((field.p,) * field.k)
     exts = [_periodic(field, fv) for fv in F_values[1:]]
@@ -110,6 +131,52 @@ def _y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
         for tbl, ext in zip(tables, exts):
             prod = prod * _shifted(field, ext, int(tbl[yi]))
         sums[yi] = prod.sum()
+    return sums
+
+
+def _packed_y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
+    """S(y) as int64 for 0/1 values: AND and popcount of packed rows.
+
+    Each indicator is viewed as q/p rows of p bits along the coefficient
+    of place value 1.  x -> f(x + e) sends row r to the row of r's other
+    coefficients plus e's, and rotates it by e's last coefficient c.  Per
+    slot, min(64, p) packings hold every row's cyclic extension shifted by
+    s bits, so the rotated row is the W = ceil(p/64) words of packing c % 64
+    from word c // 64 on; f_0, packed once with zeros past bit p, masks the
+    wrap.  y runs in blocks of about _PACK_WORDS gathered words.
+    """
+    p, q = field.p, field.q
+    rows, width = q // p, -(-p // 64)
+    shifts, span = min(64, p), (p - 1) // 64 + width
+    bits = [(v == 1).reshape(rows, p) for v in F_values]
+    head = np.zeros((rows, 64 * width), dtype=bool)
+    head[:, :p] = bits[0]
+    f0 = np.packbits(head, axis=-1, bitorder="little").view(np.uint64)
+    cyclic = np.arange(64 * span + shifts - 1) % p
+    windows = []
+    for b in bits[1:]:  # packed[row, s] holds row's bits from column s on
+        ext = sliding_window_view(b[:, cyclic], 64 * span, axis=-1)[:, :shifts]
+        packed = np.packbits(np.ascontiguousarray(ext), axis=-1,
+                             bitorder="little").view(np.uint64)
+        windows.append(sliding_window_view(packed.ravel(), width))
+    # flat word offset of the row window that starts at each element; the
+    # offsets of x + e for the first x of every row are then the window of
+    # their periodic extension at e's coefficients, for all e at once
+    row, col = divmod(np.arange(q), p)
+    offsets = (row * shifts + col % 64) * span + col // 64
+    firsts = sliding_window_view(_periodic(field, offsets),
+                                 (p,) * (field.k - 1) + (1,))
+    coords = [field._coeff_matrix()[poly_index_table(poly, field)].T
+              for poly in P]
+    step = max(1, _PACK_WORDS // (rows * width))
+    sums = np.empty(q, dtype=np.int64)
+    for start in range(0, q, step):
+        ys = slice(start, start + step)
+        acc = f0
+        for e, win in zip(coords, windows):
+            word = firsts[tuple(e[:, ys])].reshape(-1, rows)
+            acc = acc & win[word]
+        sums[ys] = np.bitwise_count(acc).sum(axis=(-2, -1))
     return sums
 
 

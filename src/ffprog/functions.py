@@ -129,15 +129,24 @@ def constant_function(field: FieldSpec, c) -> DenseFunction:
 
 
 def _indicator_values(field: FieldSpec, subset, dtype=np.complex128) -> np.ndarray:
-    """1_A as a length-q array of dtype (ints embed as constants)."""
-    v = np.zeros(field.q, dtype=dtype)
+    """1_A as a length-q array of dtype (ints embed as constants).
+
+    An int c is the constant (c mod p), at index (c mod p) * p^(k-1); the
+    ints are reduced in Python (big ones too) and placed in one scatter.
+    """
+    ints, indices = [], []
     for item in subset:
-        if isinstance(item, FieldElement):
+        if isinstance(item, (int, np.integer)):
+            ints.append(int(item) % field.p)
+        elif isinstance(item, FieldElement):
             if item.field != field:
                 raise ElementOutOfField(f"{item} not in {field}")
-            v[item.index] = 1
+            indices.append(item.index)
         else:
-            v[field.element(item).index] = 1
+            indices.append(field.element(item).index)
+    v = np.zeros(field.q, dtype=dtype)
+    v[np.array(ints, dtype=np.int64) * field.p ** (field.k - 1)] = 1
+    v[np.array(indices, dtype=np.int64)] = 1
     return v
 
 

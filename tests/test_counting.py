@@ -7,7 +7,8 @@ counts against a pure-integer loop (explicit membership tests, no numpy)
 larger primes -- and Lambda against a double loop over field elements
 (FieldElement arithmetic and character_eval).  The rewrite identities are
 exact algebraic facts, so both sides must agree to near machine precision
-on random inputs.
+on random inputs.  The kernel's bit-packed route for 0/1 inputs is
+compared bit for bit with its per-y view loop.
 """
 
 import warnings
@@ -21,10 +22,11 @@ from ffprog.errors import (ArityMismatch, CharacteristicWarning,
                            IndexOutOfRange, InvalidRange, NonzeroConstantTerm,
                            NotPrime, TwistedSystem, ZeroPolynomial)
 from ffprog.field import character_eval, is_prime, make_field
-from ffprog.functions import (character_function, dense_function, indicator,
-                              random_one_bounded)
+from ffprog.functions import (balanced_indicator, character_function,
+                              dense_function, indicator, random_one_bounded)
 from ffprog.counting import (BaseCaseReport, LambdaResult, WeilSum,
-                             _weil_sweep, additive_monomial_sums,
+                             _packed_y_sums, _view_y_sums, _weil_sweep,
+                             _y_sums, additive_monomial_sums,
                              base_case_report,
                              count_progressions, lambda_average,
                              main_term_error, poly_index_table,
@@ -147,6 +149,87 @@ def test_count_emits_no_warnings_even_when_dependent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         count_progressions(sys, {0, 1, 3}, "all", field=field)
+
+
+# -- the bit-packed route ------------------------------------------------------------
+
+# W = ceil(p/64) words per row: 1 up to p = 61, 2 from 67, 3 past 128; the
+# extension fields permute q/p rows, GF(67^2) with W = 2
+PACKED_FIELDS = [(2, 1), (3, 1), (61, 1), (67, 1), (127, 1), (131, 1),
+                 (4001, 1), (2, 6), (3, 4), (5, 3), (11, 2), (67, 2)]
+
+
+@pytest.mark.parametrize("p,k", PACKED_FIELDS,
+                         ids=[f"{p}^{k}" for p, k in PACKED_FIELDS])
+def test_packed_sums_equal_the_view_loop(p, k):
+    field = make_field(p, k)
+    rng = SplitMix64(1400 + p + k)
+    for polys in (["y"], ["y", "y^2"], ["y", "2y", "y^3"]):  # m1 = 1, 2, 3
+        P = progression_system(polys).P
+        m = len(P) + 1
+        distinct = [(rng.random_block(field.q) < 0.5).astype(np.int64)
+                    for _ in range(m)]
+        empty, full = np.zeros(field.q, np.int64), np.ones(field.q, np.int64)
+        for F in (distinct, [empty] * m, [full] * m, [full] + distinct[1:]):
+            want = _view_y_sums(field, P, F)
+            assert np.array_equal(_packed_y_sums(field, P, F), want), polys
+        # complex 0/1 values take the packed route to the same bits
+        Fc = [f.astype(np.complex128) for f in distinct]
+        got = _y_sums(field, P, Fc)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, _view_y_sums(field, P, Fc)), polys
+
+
+@pytest.mark.parametrize("p,k", [(61, 1), (131, 1), (2, 6), (67, 2)])
+@pytest.mark.parametrize("y_rule", ["all", "nonzero"])
+def test_packed_counts_equal_the_view_loop(p, k, y_rule):
+    field = make_field(p, k)
+    sys = progression_system(["y", "y^2"])
+    start = 1 if y_rule == "nonzero" else 0
+    A = SplitMix64(77 + p).subset(field.q, 0.4)
+    members = A if k == 1 else [field.element_at(i) for i in A]
+    ind = np.zeros(field.q, np.int64)
+    ind[A] = 1
+    want = int(_view_y_sums(field, sys.P, [ind] * 3)[start:].sum())
+    assert count_progressions(sys, members, y_rule, field=field) == want
+    pairs = field.q * (field.q - start)
+    assert count_progressions(sys, [], y_rule, field=field) == 0
+    every = range(field.q) if k == 1 else field.elements()
+    assert count_progressions(sys, every, y_rule, field=field) == pairs
+
+
+@pytest.mark.parametrize("p,k", [(131, 1), (5, 3)])
+def test_indicator_averages_equal_the_view_route(p, k, monkeypatch):
+    field = make_field(p, k)
+    rng = SplitMix64(9 + p)
+    A = [field.element_at(i) for i in rng.subset(field.q, 0.5)]
+    B = [field.element_at(i) for i in rng.subset(field.q, 0.3)]
+    sys = progression_system(["y", "y^2"])
+    twisted = progression_system(["y"], ["y^3"])
+    F = [indicator(field, A), indicator(field, B)]
+    G = [character_function(field, 1 + rng.randrange(field.q - 1))]
+
+    def both():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CharacteristicWarning)
+            return (main_term_error(sys, A, field=field),
+                    lambda_average(twisted, F, G))
+    packed = both()
+    monkeypatch.setattr("ffprog.counting._y_sums", _view_y_sums)
+    assert both() == packed  # ==, not approximately
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
+def test_values_other_than_0_and_1_match_the_double_loop(p, k):
+    field = make_field(p, k)
+    A = [field.element_at(i) for i in range(0, field.q, 2)]
+    sys = progression_system(["y", "y^2"])
+    for f in (balanced_indicator(field, A), 2 * indicator(field, A)):
+        F = [f, f, indicator(field, A)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CharacteristicWarning)
+            got = lambda_average(sys, F)
+        assert abs(got - direct_lambda(sys, F, [])) < 1e-12
 
 
 # -- lambda_average ----------------------------------------------------------------

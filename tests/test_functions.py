@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from ffprog.decomposition import budget_from_schedule, u2_threshold_decompose
-from ffprog.errors import (BudgetConditionWarning, ElementOutOfField,
-                           FieldMismatch, InvalidExponent, ShapeMismatch)
+from ffprog.errors import (BudgetConditionWarning, DegreeMismatch,
+                           ElementOutOfField, FieldMismatch, InvalidExponent,
+                           ShapeMismatch)
 from ffprog.field import FieldSpec, character_eval, make_field
 from ffprog.functions import (_FFT_ABOVE, _fft_forward, _fft_inverse,
                               _forward_rows, _inverse_rows, _table_forward,
@@ -101,6 +102,41 @@ def test_indicator_and_balanced_means():
     assert np.allclose(f.values, g.values)
     with pytest.raises(ElementOutOfField):
         indicator(F7, [F9.element([1, 0])])
+
+
+MEMBER_KINDS = {
+    "element": (lambda F: [F.element_at(F.q - 1), F.element_at(1)], None),
+    "int": (lambda F: [0, 2, 5, 9], None),
+    "numpy int": (lambda F: [np.int32(3), np.int64(-4), np.uint64(2 ** 63 + 1)],
+                  None),
+    "negative int": (lambda F: [-1, -15, -F.p], None),
+    "big int": (lambda F: [2 ** 100 + 3, -(3 ** 90) - 1], None),
+    "coefficients": (lambda F: [[1] * F.k, (F.p - 1,) + (0,) * (F.k - 1)],
+                     None),
+    "foreign element": (lambda F: [1, make_field(5, F.k).element_at(2)],
+                        ElementOutOfField),
+    "wrong length": (lambda F: [1, [1] * (F.k + 1)], DegreeMismatch),
+}
+
+
+@pytest.mark.parametrize("field", [F7, F9], ids=["F7", "F9"])
+@pytest.mark.parametrize("kind", sorted(MEMBER_KINDS))
+def test_indicator_member_kinds(field, kind):
+    # oracle: field.element places one member at a time; an int c is the
+    # constant (c mod p), at index (c mod p) * p^(k-1)
+    members, error = MEMBER_KINDS[kind]
+    A = members(field)
+    if error is not None:
+        with pytest.raises(error):
+            indicator(field, A)
+        return
+    want = np.zeros(field.q)
+    for item in A:
+        want[field.element(item).index] = 1
+    assert np.array_equal(indicator(field, A).values, want)
+    if kind not in ("element", "coefficients"):
+        assert want[[(int(c) % field.p) * field.p ** (field.k - 1)
+                     for c in A]].all()
 
 
 def test_constant_and_character_functions():
