@@ -27,7 +27,7 @@ from .counting import (_main_term, _weil_sweep, _weil_verdict,
 from .decomposition import (budget_from_schedule, u2_threshold_decompose,
                             verify_decomposition)
 from .extremal import build_hypergraph, r_exact
-from .field import is_prime, make_field
+from .field import _primes, make_field
 from .functions import (_forward_rows, _random_phase, _random_spike,
                         _random_two_var, character_function, dense_function,
                         fourier_transform, random_one_bounded)
@@ -108,7 +108,7 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     t0 = time.perf_counter()
-    primes = [p for p in range(5, 200) if is_prime(p)]
+    primes = _primes(5, 199)
     checked = 0
     violations = 0
     worst_margin = -1.0
@@ -291,7 +291,7 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     t0 = time.perf_counter()
     system = progression_system(["y", "y^2"])
-    primes = [p for p in range(31, 500) if is_prime(p)]
+    primes = _primes(31, 499)
     cells = 0
     within = 0
     max_err = {}

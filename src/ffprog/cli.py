@@ -62,7 +62,7 @@ from .decomposition import (budget, budget_from_schedule,
                             u2_threshold_decompose, verify_decomposition)
 from .errors import FFProgError, ThresholdViolation
 from .extremal import _check_bitset, build_hypergraph, r_exact, r_lower_random
-from .field import is_prime, make_field
+from .field import _primes, make_field
 from .functions import (_random_phase, _random_spike, _random_two_var,
                         balanced_indicator, character_function, indicator,
                         random_one_bounded)
@@ -219,10 +219,6 @@ def _make_function(kind: str, field, set_source: str, seed: int):
         f, a = _random_spike(field, rng)
         return f, {"fn": "spike", "character": a}
     raise FFProgError(f"unknown function kind {kind!r}")
-
-
-def _primes(lo: int, hi: int) -> list[int]:
-    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
 
 
 # --------------------------------------------------------------------------

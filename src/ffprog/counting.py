@@ -82,8 +82,8 @@ from .errors import (
     InvalidRange,
     TwistedSystem,
 )
-from .field import FieldElement, FieldSpec, _periodic, _shifted, make_field
-from .functions import (DenseFunction, _as_index, _indicator_values,
+from .field import FieldElement, FieldSpec, _translates, make_field
+from .functions import (DenseFunction, _as_element, _indicator_values,
                         character_function, indicator)
 from .polys import IntPoly, ProgressionSystem, int_poly, progression_system
 
@@ -122,14 +122,15 @@ def _y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
 
 def _view_y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
     """S(y) for any values: one product of translated views per y."""
-    tables = [poly_index_table(p, field) for p in P]
+    coords = [field._coeff_matrix()[poly_index_table(poly, field)].tolist()
+              for poly in P]
     f0 = F_values[0].reshape((field.p,) * field.k)
-    exts = [_periodic(field, fv) for fv in F_values[1:]]
+    views = [_translates(field, fv) for fv in F_values[1:]]
     sums = np.empty(field.q, dtype=np.result_type(*F_values))
     for yi in range(field.q):
         prod = f0
-        for tbl, ext in zip(tables, exts):
-            prod = prod * _shifted(field, ext, int(tbl[yi]))
+        for e, view in zip(coords, views):
+            prod = prod * view[tuple(e[yi])]
         sums[yi] = prod.sum()
     return sums
 
@@ -160,12 +161,11 @@ def _packed_y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
                              bitorder="little").view(np.uint64)
         windows.append(sliding_window_view(packed.ravel(), width))
     # flat word offset of the row window that starts at each element; the
-    # offsets of x + e for the first x of every row are then the window of
-    # their periodic extension at e's coefficients, for all e at once
+    # offsets of x + e for the first x of every row (last coefficient 0)
+    # are then the translate of offsets by e, read for all e at once
     row, col = divmod(np.arange(q), p)
     offsets = (row * shifts + col % 64) * span + col // 64
-    firsts = sliding_window_view(_periodic(field, offsets),
-                                 (p,) * (field.k - 1) + (1,))
+    firsts = _translates(field, offsets)[..., 0]
     coords = [field._coeff_matrix()[poly_index_table(poly, field)].T
               for poly in P]
     step = max(1, _PACK_WORDS // (rows * width))
@@ -297,7 +297,7 @@ def main_term_error(system: ProgressionSystem, A,
 
 def _trivial_twists(field: FieldSpec, Psi) -> bool:
     """Every label in Psi, read mod q, names the trivial character."""
-    return all(_as_index(field, a) == 0 for a in Psi)
+    return all(_as_element(field, a).is_zero for a in Psi)
 
 
 def _main_term(field: FieldSpec, means, Psi=()):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .counting import poly_index_table
 from .errors import InsufficientData, InvalidRange, TwistedSystem
-from .field import FieldElement, FieldSpec, _periodic, _shifted
+from .field import FieldElement, FieldSpec, _translates
 from .polys import ProgressionSystem
 from .rng import SplitMix64
 
@@ -80,15 +80,15 @@ def build_hypergraph(system: ProgressionSystem, field: FieldSpec,
     if degeneracy not in ("paper_literal", "distinct_points"):
         raise InvalidRange(f"unknown degeneracy policy {degeneracy!r}")
     q = field.q
-    tables = [poly_index_table(p, field) for p in system.P]
+    coords = [field._coeff_matrix()[poly_index_table(p, field)].tolist()
+              for p in system.P]
     full_size = system.m1 + 1
     seen: set[tuple[int, ...]] = set()
     start = 1 if y_rule == "nonzero" else 0
     index = np.arange(q, dtype=np.int64)
-    ext = _periodic(field, index)   # window at e: x -> index of x + e
+    to = _translates(field, index)   # to[c_e]: x -> index of x + e
     for yi in range(start, q):
-        points = [index] + [_shifted(field, ext, int(t[yi])).reshape(q)
-                            for t in tables]
+        points = [index] + [to[tuple(e[yi])].reshape(q) for e in coords]
         for row in np.sort(np.stack(points, axis=1), axis=1).tolist():
             seen.add(tuple(dict.fromkeys(row)))   # sorted, duplicates dropped
     if degeneracy == "distinct_points":
@@ -187,14 +187,14 @@ def _witness(field: FieldSpec, mask: int) -> tuple[FieldElement, ...]:
 def _translation_invariant(hg: ProgressionHypergraph) -> bool:
     """Whether the edge set maps onto itself under every x -> x + c.
 
-    Checked for c = p^j (j < k), whose coefficient vectors are the unit
-    vectors and so generate (F_q, +); O(|E| k).
+    Checked for the c whose coefficient vectors are the unit vectors, which
+    generate (F_q, +); O(|E| k).
     """
     field = hg.field
     masks = {_mask(e) for e in hg.edges}
-    ext = _periodic(field, np.arange(field.q, dtype=np.int64))
-    for j in range(field.k):
-        to = _shifted(field, ext, field.p ** j).reshape(field.q).tolist()
+    translates = _translates(field, np.arange(field.q, dtype=np.int64))
+    for unit in np.eye(field.k, dtype=np.int64):
+        to = translates[tuple(unit)].reshape(field.q).tolist()
         if any(_mask(to[v] for v in e) not in masks for e in hg.edges):
             return False
     return True

@@ -19,9 +19,11 @@ T[i, j] = Tr(t^(i+j)), so that Tr(a x) = c_a T c_x mod p by linearity.
 The trace vector is (C T[0]) mod p, the character matrix is
 omega[(C T mod p) C^T mod p], and polynomials are evaluated on all of C at
 once by Horner with a row-wise product reduced by the modulus.
-Translation x -> f(x + e) views a value array on (p,)*k, one axis per
-coefficient: _periodic wraps those axes out to 2p - 1 entries once, and
-_shifted returns the window starting at e's coefficients, as a view.
+Translation has one home, _translates: it views a value array on (p,)*k,
+one axis per coefficient, wraps those axes out to 2p - 1 entries once and
+returns every translate x -> f(x + e) as one window view, indexed by e's
+coefficient vector.  Shifts, differencing, the naive U^s levels, both
+progression-sum routes and the hypergraph all read it.
 
 The Fourier transform needs no q x q table: psi_a(x) = omega^(c_a T c_x)
 makes fhat a k-dimensional DFT of the values on (p,)*k read at the grid
@@ -51,6 +53,7 @@ from itertools import count, product, zip_longest
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegreeMismatch,
@@ -90,6 +93,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _primes(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi], in increasing order."""
+    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
 
 
 # --------------------------------------------------------------------------
@@ -469,36 +477,26 @@ class FieldElement:
 
 
 # --------------------------------------------------------------------------
-# translation: x -> f(x + e) as a window of the periodic extension
+# translation: every x -> f(x + e) at once, as windows of the periodic
+# extension
 # --------------------------------------------------------------------------
 
-def _periodic(field: FieldSpec, values: np.ndarray) -> np.ndarray:
-    """Periodic extension of values over its leading k axes.
+def _translates(field: FieldSpec, values: np.ndarray) -> np.ndarray:
+    """Every translate of values at once: T[c] is x -> f(x + e) for the e
+    with coefficient vector c, and T is a view, nothing copied per e.
 
     The first axis (length q) is viewed as (p,)*k, one axis per coefficient,
-    and each of those axes is wrapped out to 2p - 1 entries; trailing axes
-    (the second variable of a q x q array) ride along.
+    and each of those axes is wrapped out to 2p - 1 entries; T slides a
+    (p,)*k window over them.  Its axes are the (p,)*k window starts (e's
+    coefficients), then the trailing axes of values (the second variable of
+    a q x q array rides along), then the (p,)*k window axes (x's).
     """
     p, k = field.p, field.k
     ext = values.reshape((p,) * k + values.shape[1:])
     for axis in range(k):
         head = ext[(slice(None),) * axis + (slice(0, p - 1),)]
         ext = np.concatenate([ext, head], axis=axis)
-    return ext
-
-
-def _shifted(field: FieldSpec, ext: np.ndarray, index: int) -> np.ndarray:
-    """x -> f(x + e) for e at index, as the view of ext at e's coefficients.
-
-    ext comes from _periodic.  The view has shape (p,)*k plus ext's
-    trailing axes; reshape it to (q, ...) for a flat array.
-    """
-    p = field.p
-    starts = []
-    for _ in range(field.k):  # coefficients of e, last one first
-        index, c = divmod(index, p)
-        starts.append(slice(c, c + p))
-    return ext[tuple(reversed(starts))]
+    return sliding_window_view(ext, (p,) * k, axis=tuple(range(k)))
 
 
 # --------------------------------------------------------------------------

@@ -5,11 +5,10 @@ the field's enumeration order; a TwoVarFunction stores a q x q array with
 the first variable as the row index.  Enumeration order is C order over
 coefficient vectors, so the same vector viewed on shape (p,)*k has one
 axis per coefficient, on prime and extension fields alike.  Translation
-x -> f(x + e) is one helper pair from field.py for every k: _periodic wraps
-those axes out to 2p - 1 entries once, and _shifted returns the window that
-starts at e's coefficients.  On top of these live the analytic primitives
-everything else uses: normalized Fourier coefficients with respect to the
-additive characters,
+x -> f(x + e) reads field._translates for every k: one view of all
+translates at once, indexed by e's coefficient vector.  On top of these
+live the analytic primitives everything else uses: normalized Fourier
+coefficients with respect to the additive characters,
 
     fhat(a) = E_x f(x) conj(psi_a(x)),      f(x) = sum_a fhat(a) psi_a(x),
 
@@ -47,17 +46,17 @@ from .errors import (
     InvalidExponent,
     ShapeMismatch,
 )
-from .field import FieldElement, FieldSpec, _periodic, _shifted, make_field
+from .field import FieldElement, FieldSpec, _translates, make_field
 from .rng import SplitMix64
 
 
-def _as_index(field: FieldSpec, h) -> int:
-    """Coerce a FieldElement (or raw enumeration index) to an index."""
+def _as_element(field: FieldSpec, h) -> FieldElement:
+    """Coerce a FieldElement (or raw enumeration index, mod q) to an element."""
     if isinstance(h, FieldElement):
         if h.field != field:
             raise FieldMismatch("shift from a different field")
-        return h.index
-    return int(h) % field.q
+        return h
+    return field.element_at(int(h) % field.q)
 
 
 @dataclass
@@ -112,7 +111,7 @@ class DenseFunction:
     def shift(self, h) -> "DenseFunction":
         """x -> f(x + h)."""
         field = self.field
-        window = _shifted(field, _periodic(field, self.values), _as_index(field, h))
+        window = _translates(field, self.values)[_as_element(field, h).coeffs]
         return DenseFunction(field, window.reshape(field.q))
 
     def max_abs(self) -> float:
@@ -163,7 +162,7 @@ def balanced_indicator(field: FieldSpec, subset) -> DenseFunction:
 
 def character_function(field: FieldSpec, a) -> DenseFunction:
     """psi_a as a dense function (a: FieldElement or enumeration index)."""
-    row = field._trace_rows([_as_index(field, a)])[0]
+    row = field._trace_rows([_as_element(field, a).index])[0]
     return DenseFunction(field, field.omega_powers()[row])
 
 
@@ -319,9 +318,9 @@ def delta_first_var(F: TwoVarFunction, hs) -> TwoVarFunction:
     """Iterated Delta in the first variable only: rows shift, columns ride."""
     field = F.field
     out = F.values
-    for h in hs:
-        window = _shifted(field, _periodic(field, out), _as_index(field, h))
-        out = window.reshape(out.shape) * np.conj(out)
+    for h in hs:  # the window axes (x) come after y: move them first
+        window = _translates(field, out)[_as_element(field, h).coeffs]
+        out = np.moveaxis(window, 0, -1).reshape(out.shape) * np.conj(out)
     return TwoVarFunction(field, out)
 
 

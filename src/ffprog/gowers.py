@@ -7,13 +7,13 @@ The raw 2^s-th power of the U^s norm of f: F_q -> C is
 
 with Delta_h f(x) = f(x+h) conj(f(x)).  The naive evaluator differences
 s - 1 times in one loop: each level multiplies every translate of every
-row, viewed at once through a sliding window over field._periodic, by the
-row's conjugate, so level j holds q^j rows of q values.  The remaining
-double average factors exactly as E_{x,h} Delta_h g(x) = |E g|^2, which
-makes the result a mean of nonnegative terms by construction.  The last
-level is formed a slab at a time and only its row means are kept, so a
-norm forms q^s values but holds q^(s-1); above errors.BUDGET formed values
-(2^24, so naive U^2 reaches q = 4096) it is refused with BudgetExceeded.
+row, viewed at once through field._translates, by the row's conjugate, so
+level j holds q^j rows of q values.  The remaining double average factors
+exactly as E_{x,h} Delta_h g(x) = |E g|^2, which makes the result a mean
+of nonnegative terms by construction.  The last level is formed a slab at
+a time and only its row means are kept, so a norm forms q^s values but
+holds q^(s-1); above errors.BUDGET formed values (2^24, so naive U^2
+reaches q = 4096) it is refused with BudgetExceeded.
 
 At s = 2 an independent route exists through the character basis:
 
@@ -48,10 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FieldMismatch, InvalidRange, NotOneBounded, _check_budget
-from .field import FieldSpec, _periodic
+from .field import FieldSpec, _translates
 from .functions import (
     DenseFunction,
     delta_first_var,
@@ -82,10 +81,8 @@ def _next_level(field: FieldSpec, rows: np.ndarray):
     Row (h, r) of the level is x -> row_r(x + h) conj(row_r(x)), that is
     windows[h, r] * conj[r], with h and x on the (p,)*k grid.
     """
-    p, k = field.p, field.k
-    windows = sliding_window_view(_periodic(field, rows.T), (p,) * k,
-                                  axis=tuple(range(k)))
-    return windows, np.conj(rows).reshape((len(rows),) + (p,) * k)
+    grid = (len(rows),) + (field.p,) * field.k
+    return _translates(field, rows.T), np.conj(rows).reshape(grid)
 
 
 def _differences(field: FieldSpec, rows: np.ndarray, levels: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from ffprog.extremal import (ExtremalResult, ProgressionHypergraph,
                              _translation_invariant, build_hypergraph,
                              gamma_fit, r_exact, r_lower_random)
 from ffprog.field import make_field
-from ffprog.polys import progression_system
+from ffprog.polys import progression_system, reduce_and_eval
 
 
 # -- oracle ------------------------------------------------------------------
@@ -92,6 +92,29 @@ def test_hypergraph_y_rule_all_includes_singletons():
     hg = build_hypergraph(progression_system(["y"]), field, y_rule="all")
     singles = [e for e in hg.edges if len(e) == 1]
     assert len(singles) == 5
+
+
+@pytest.mark.parametrize("y_rule", ["nonzero", "all"])
+@pytest.mark.parametrize("policy", ["paper_literal", "distinct_points"])
+@pytest.mark.parametrize("polys", [("y", "y^2"), ("y", "2y"), ("y^2", "y^3")])
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (5, 2)])
+def test_hypergraph_matches_element_arithmetic_off_prime_fields(p, k, polys,
+                                                                policy, y_rule):
+    # the oracle adds FieldElements; build_hypergraph reads translates off
+    # the (p,)*k grid.  ("y", "2y") collapses at p = 2, so both policies
+    # see degenerate edges there.
+    field = make_field(p, k)
+    system = progression_system(list(polys))
+    els = field.elements()
+    want = set()
+    for y in els[1 if y_rule == "nonzero" else 0:]:
+        shifts = [reduce_and_eval(P, field, y) for P in system.P]
+        for x in els:
+            edge = tuple(sorted({x.index} | {(x + s).index for s in shifts}))
+            if policy == "paper_literal" or len(edge) == system.m1 + 1:
+                want.add(edge)
+    hg = build_hypergraph(system, field, y_rule=y_rule, degeneracy=policy)
+    assert hg.edges == tuple(sorted(want, key=lambda e: (len(e), e)))
 
 
 def test_hypergraph_validation():

@@ -21,7 +21,7 @@ from ffprog.errors import (BudgetExceeded, DegreeMismatch, DivisionByZero,
                            FieldMismatch, InvalidRange, NotPrime,
                            ReducibleModulus)
 from ffprog.field import (_MR_EXACT_BELOW, _TRIAL_DIVISORS, FieldSpec,
-                          _is_irreducible, _periodic, _prime_factors, _shifted,
+                          _is_irreducible, _prime_factors, _translates,
                           character_eval, enumerate_elements, field_arith,
                           is_prime, make_field, trace)
 from ffprog.rng import SplitMix64
@@ -244,13 +244,18 @@ def test_window_translation_matches_element_addition(p, k):
     rng = SplitMix64(p * 100 + k)
     values = np.array([rng.random() for _ in range(q)])
     rows = np.array([rng.random() for _ in range(q * q)]).reshape(q, q)
-    ext, ext_rows = _periodic(F, values), _periodic(F, rows)
+    T, T_rows = _translates(F, values), _translates(F, rows)
+    starts = T[..., 0]   # the x whose last coefficient is 0: still a view
+    assert not T.flags.owndata and not starts.flags.owndata
     for e in els:
         perm = [(x + e).index for x in els]
-        assert np.array_equal(_shifted(F, ext, e.index).reshape(q), values[perm])
-        # q x q arrays translate in the first variable only
-        assert np.array_equal(_shifted(F, ext_rows, e.index).reshape(q, q),
-                              rows[perm])
+        assert np.array_equal(T[e.coeffs].reshape(q), values[perm])
+        # q x q arrays translate in the first variable only; the x axes
+        # come after the second variable's
+        assert np.array_equal(
+            np.moveaxis(T_rows[e.coeffs], 0, -1).reshape(q, q), rows[perm])
+        assert np.array_equal(starts[e.coeffs].reshape(q // p),
+                              values[perm][::p])
 
 
 def test_field_arith_dispatcher():

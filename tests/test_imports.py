@@ -10,11 +10,13 @@ no `ast.Name` node in the module references.  Annotations count as reads;
 second fails on any import statement inside a function body, in every
 module: no module of the package needs a deferred import to break a cycle,
 so each dependency is stated once, at the top.  The third fails on any
-module-level `_private` function or class that no line of the package
-reads, by name, attribute or import: a helper left behind when its callers
-went.  The last two keep the budget in errors.py: BudgetExceeded is raised
-by exactly one function, errors._check_budget, and no other module binds
-the budget constant, under its name or by its value 2^24.
+`_private` name that no line of the package outside its own statement
+reads, by name, attribute or import: a module-level function, class or
+constant (`_NAME = ...`), or a method of a module-level class -- a helper
+or setting left behind when its readers went.  The last two keep the
+budget in errors.py: BudgetExceeded is raised by exactly one function,
+errors._check_budget, and no other module binds the budget constant, under
+its name or by its value 2^24.
 """
 
 import ast
@@ -78,28 +80,59 @@ def test_module_imports_only_at_the_top(path):
     assert function_imports(path.read_text()) == []
 
 
+def _private_names(stmt) -> list[str]:
+    """The _private names a def, a class or a plain assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target])
+        names = [n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reads(node) -> set[str]:
+    """Names a Name, Attribute or from-import anywhere under node reads."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(a.name for a in n.names)
+    return names
+
+
 def unread_private_defs(sources: dict[str, str]) -> list[str]:
-    """`module:name` for each module-level _private def or class that no
-    Name, Attribute or import outside its own body reads, in any source."""
+    """`module:name` for each _private module-level def, class or constant,
+    and each _private method of a module-level class, that no Name,
+    Attribute or import outside its own statement reads, in any source.
+
+    A class's own statement is all of its body; a method's is its def.
+    """
     defs, reads = [], {}
     for module, source in sources.items():
         for i, stmt in enumerate(ast.parse(source).body):
-            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and stmt.name.startswith("_")
-                    and not stmt.name.startswith("__")):
-                defs.append(((module, i), stmt.name))
-            names = reads[module, i] = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    names.update(a.name for a in node.names)
-    return sorted(f"{key[0]}:{name}" for key, name in defs
-                  if not any(name in names for other, names in reads.items()
-                             if other != key))
+            if isinstance(stmt, ast.ClassDef):  # a unit per member
+                members = stmt.body
+                header = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+            else:
+                members, header = [], [stmt]
+            own = {(module, i)} | {(module, i, j) for j in range(len(members))}
+            defs += [(module, own, name) for name in _private_names(stmt)]
+            reads[module, i] = set().union(*map(_reads, header))
+            for j, member in enumerate(members):
+                reads[module, i, j] = _reads(member)
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs += [(module, {(module, i, j)}, name)
+                             for name in _private_names(member)]
+    return sorted(f"{module}:{name}" for module, own, name in defs
+                  if not any(name in names for key, names in reads.items()
+                             if key not in own))
 
 
 def test_scan_flags_an_unread_private_def():
@@ -116,6 +149,28 @@ def test_scan_flags_an_unread_private_def():
     }
     assert unread_private_defs(sources) == ["a.py:_Spare", "a.py:_recursive",
                                             "a.py:_shift_identity_rhs"]
+
+
+def test_scan_flags_an_unread_private_method_and_constant():
+    sources = {
+        "a.py": ("_READ = 1\n"
+                 "_UNREAD, _ALSO_READ = 2, 3\n"
+                 "_ANNOTATED: int = 4\n"
+                 "__dunder__ = 5\n"
+                 "class K:\n"
+                 "    def __init__(self): self._helper()\n"
+                 "    def _helper(self): return _READ\n"
+                 "    def _spare(self): return self._spare()\n"
+                 "    _attribute = 6\n"
+                 "    def public(self): pass\n"
+                 "class _Inner:\n"
+                 "    def _self_read(self): return _Inner\n"),
+        "b.py": "import a\nx = a._ALSO_READ + a.K()._by_other_module()\n",
+        "c.py": "class L:\n    def _by_other_module(self): pass\n",
+    }
+    assert unread_private_defs(sources) == [
+        "a.py:_ANNOTATED", "a.py:_Inner", "a.py:_UNREAD", "a.py:_self_read",
+        "a.py:_spare"]
 
 
 def test_every_private_def_is_read_somewhere_in_the_package():
