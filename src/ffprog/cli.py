@@ -29,7 +29,9 @@ Conventions shared by every subcommand:
   typed right after the subcommand name (dashes as underscores; `true` is a
   bare switch, `false` and `null` add nothing), so they pass the same checks
   as typed flags, and explicit flags, typed later, win;
-* `extremal` records count the search's work under one `work` key;
+* `extremal` records count the search's work under one `work` key; exact
+  ones add the certified bound `r_upper`, random ones the greedy stream's
+  `derived_seed`;
 * exit status: 0 success, 1 usage or input errors, 2 when a checked
   property or bound fails (a machine-readable `failures` record is
   emitted before exiting).
@@ -119,7 +121,12 @@ class Ledger:
                 self._csv_fh.flush()
 
     def write(self, **fields):
-        """Write one record: the envelope, then `fields` (which may override)."""
+        """Write one record: the envelope, then `fields`, which never
+        override it (ValueError)."""
+        clash = self._head.keys() & fields.keys()
+        if clash:
+            raise ValueError(f"record fields {sorted(clash)} would override "
+                             "the envelope")
         self.open()
         record = {**self._head, **fields}
         self._fh.write(json.dumps(record, separators=(", ", ": ")) + "\n")
@@ -320,13 +327,14 @@ def _cmd_extremal(args, seed: int, ledger: Ledger) -> int:
                                       degeneracy=policy)
                 if args.method == "exact":
                     res = r_exact(hg, node_budget=args.node_budget)
+                    extra = {"r_upper": res.r_upper}
                 else:
                     res = r_lower_random(hg, args.iters,
                                          derive_seed(seed, field.p))
+                    extra = {"derived_seed": res.seed}
                 ledger.write(system=str(system), p=field.p, k=field.k,
-                             policy=policy, r=res.r, exact=res.exact,
+                             policy=policy, r=res.r, exact=res.exact, **extra,
                              witness=list(res.witness_indices),
-                             seed=res.seed if res.seed is not None else seed,
                              work={"nodes": res.nodes_explored},
                              timing={"ms": int(res.wall_time * 1000)})
                 if policy == policies[0]:

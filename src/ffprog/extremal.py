@@ -19,7 +19,16 @@ r_exact runs an exact branch-and-bound maximum-independent-set search over
 bitmask sets, on an explicit stack rather than by recursion: vertices are
 considered in ascending index order, a greedy pass seeds the incumbent, the
 cardinality bound prunes, and unit propagation removes vertices that would
-complete an almost-full edge.  The hypergraph is invariant under
+complete an almost-full edge.  Propagation reads closing tables keyed by a
+vertex already in the set: for an edge e and distinct v, w in e, once v
+joins the set w is forbidden exactly when the rest of e is already in it.
+Including v therefore walks the (at most r) vertices of the set, not every
+edge through v.  The search keeps one invariant: no candidate completes an
+edge with the set.  It holds at the root, where one-vertex edges have made
+their vertex unusable, and each include removes every candidate that v
+would let complete an edge; so no include ever completes an edge, and the
+candidates left after each include, hence the nodes visited, are those of a
+scan over the edges through v.  The hypergraph is invariant under
 x -> x + c, so the unusable vertices are all or none, and a largest
 progression-free set S can be translated by -s (s in S) to one containing
 0.  When the edge set passes that invariance check and vertex 0 is usable,
@@ -28,8 +37,9 @@ branch without it; witnesses of such hypergraphs contain vertex 0.  A
 hypergraph that fails the check (hand-built ones may) gets the full search.
 The search is deterministic -- identical inputs give identical witnesses --
 and a node budget turns the result into a best-found lower bound
-(exact = False) instead of ever raising.  r_lower_random is the randomized
-greedy companion (best of `iters` shuffled insertion passes, seeded).
+(exact = False) with a certified upper bound r_upper beside it, instead of
+ever raising.  r_lower_random is the randomized greedy companion (best of
+`iters` shuffled insertion passes, seeded), and reads the same tables.
 
 Background for the symmetry break: Crawford, Ginsberg, Luks & Roy,
 "Symmetry-breaking predicates for search problems", KR 1996.
@@ -109,6 +119,7 @@ class ExtremalResult:
     wall_time: float
     method: str
     seed: int | None = None
+    r_upper: int | None = None   # r_exact: r <= r(hg) <= r_upper
 
     @property
     def witness_indices(self) -> tuple[int, ...]:
@@ -128,49 +139,101 @@ def _check_bitset(q: int) -> None:
         raise InvalidRange(f"bitset search capped at q <= 512, got q = {q}")
 
 
-def _edge_masks(hg: ProgressionHypergraph):
-    """Per-vertex incidence lists of bitmask edges, and the usable mask."""
+def _closing_tables(hg: ProgressionHypergraph):
+    """The closing tables (static, pair, wide) of hg, and its usable mask.
+
+    For an edge e and distinct v, w in e, let rest = e minus {v, w}: once v
+    is in the set, w is forbidden exactly when rest is inside it.  static[v]
+    holds the w with rest empty (2-point edges); pair[v][u] holds the w
+    with rest = {u} (3-point edges); wide[v][u] lists (rest, w-bit) for
+    |rest| >= 2, keyed by u, the lowest vertex of rest, and is None when no
+    edge has four points.  Edges are sized by their distinct vertices, and
+    one-vertex edges make that vertex unusable instead; an edge through an
+    unusable vertex can never be completed and is left out.
+    """
     q = hg.q
     _check_bitset(q)
-    singles = 0
-    masks = []
+    bit = [1 << v for v in range(q)]
+    dead = {e[0] for e in hg.edges if len(set(e)) == 1}
+    static = [0] * q
+    pair = [[0] * q for _ in range(q)]
+    wide = None
     for e in hg.edges:
-        m = _mask(e)
-        if len(e) == 1:
-            singles |= m
+        e = set(e)
+        if len(e) < 2 or not dead.isdisjoint(e):
+            continue
+        if len(e) == 3:
+            a, b, c = e
+            pa, pb, pc = pair[a], pair[b], pair[c]
+            pa[b] |= bit[c]
+            pa[c] |= bit[b]
+            pb[a] |= bit[c]
+            pb[c] |= bit[a]
+            pc[a] |= bit[b]
+            pc[b] |= bit[a]
+        elif len(e) == 2:
+            a, b = e
+            static[a] |= bit[b]
+            static[b] |= bit[a]
         else:
-            masks.append(m)
-    # an edge touching an unusable vertex can never be completed
-    masks = [m for m in masks if m & singles == 0]
-    edges_of = [[] for _ in range(q)]
-    for m in masks:
-        mm = m
-        while mm:
-            v = (mm & -mm).bit_length() - 1
-            edges_of[v].append(m)
-            mm &= mm - 1
-    usable = ((1 << q) - 1) & ~singles
-    return edges_of, usable
+            if wide is None:
+                wide = [[()] * q for _ in range(q)]
+            m = _mask(e)
+            for v in e:
+                row = wide[v]
+                for w in e:
+                    if w != v:
+                        rest = m ^ bit[v] ^ bit[w]
+                        u = (rest & -rest).bit_length() - 1
+                        if not row[u]:
+                            row[u] = []
+                        row[u].append((rest, bit[w]))
+    usable = ((1 << q) - 1) & ~_mask(dead)
+    return (static, pair, wide), usable
 
 
-def _greedy_mask(order, edges_of, usable: int) -> int:
+def _closed(v: int, cur: int, static, pair, wide) -> int:
+    """The vertices that v, joining cur, forbids: each w whose edge with v
+    has every other vertex in cur.  Walks the vertices of cur, not the
+    edges through v."""
+    out = static[v]
+    pv = pair[v]
+    c = cur
+    if wide is None:   # no edge of four points: the pair tier alone
+        while c:
+            low = c & -c
+            out |= pv[low.bit_length() - 1]
+            c ^= low
+        return out
+    wv = wide[v]
+    missing = ~cur
+    while c:
+        low = c & -c
+        u = low.bit_length() - 1
+        out |= pv[u]
+        for rest, w in wv[u]:
+            if not rest & missing:
+                out |= w
+        c ^= low
+    return out
+
+
+def _greedy_mask(order, tables, usable: int) -> int:
     """Deterministic greedy independent set along the given vertex order.
 
-    Each vertex taken forbids the last open vertex of each of its edges
-    (the unit propagation of r_exact), so a vertex is skipped exactly when
-    it would complete an edge, with no scan of its edges.
+    Each vertex taken forbids every vertex that would now complete one of
+    its edges (the unit propagation of r_exact), so a vertex is skipped
+    exactly when it would complete an edge, with no scan of its edges.
     """
+    static, pair, wide = tables
     cur = 0
     forbidden = ~usable
     for v in order:
         vbit = 1 << v
         if forbidden & vbit:
             continue
+        forbidden |= _closed(v, cur, static, pair, wide)
         cur |= vbit
-        for e in edges_of[v]:
-            rem = e & ~cur
-            if rem & (rem - 1) == 0:
-                forbidden |= rem
     return cur
 
 
@@ -211,30 +274,32 @@ def r_exact(hg: ProgressionHypergraph,
     hypergraph gets the full search.  The search runs on an explicit stack
     (no recursion), visiting nodes in include-first depth-first order.
 
-    Runs to completion within node_budget (exact = True) or stops at the
-    first node over it and returns the best set found so far
-    (exact = False, nodes_explored = node_budget + 1); never raises for
-    budget.
+    Runs to completion within node_budget (exact = True, r_upper = r) or
+    stops at the first node over it and returns the best set found so far
+    (exact = False, nodes_explored = node_budget + 1) with r_upper, the
+    largest of r and size + |candidates| over the stopped frame and every
+    frame left on the stack, so that r <= r(hg) <= r_upper; never raises
+    for budget.
     """
     q = hg.q
     t0 = time.perf_counter()
-    edges_of, usable = _edge_masks(hg)
-
-    best_mask = _greedy_mask(range(q), edges_of, usable)
-    best_size = bin(best_mask).count("1")
+    tables, usable = _closing_tables(hg)
+    static, pair, wide = tables
+    best_mask = _greedy_mask(range(q), tables, usable)
+    best_size = best_mask.bit_count()
     nodes = 0
-    truncated = False
     # frames (cur, cand, size, forced): the set so far, the vertices still
     # open, |cur|, and whether the exclude branch of the lowest candidate
     # is skipped.  The include child is pushed above the exclude sibling,
-    # so nodes pop in the order of a recursive include-first search.
+    # so nodes pop in the order of a recursive include-first search.  No
+    # candidate completes an edge with cur, so including v never does.
     forced = bool(usable & 1) and _translation_invariant(hg)
     stack = [(0, usable, 0, forced)]
     while stack:
         cur, cand, size, forced = stack.pop()
         nodes += 1
         if nodes > node_budget:
-            truncated = True
+            stack.append((cur, cand, size, forced))  # left unexplored
             break
         if size + cand.bit_count() <= best_size:
             continue
@@ -245,24 +310,16 @@ def r_exact(hg: ProgressionHypergraph,
         v = vbit.bit_length() - 1
         if not forced:
             stack.append((cur, cand & ~vbit, size, False))  # exclude v
-        blocked = False
-        newcand = cand & ~vbit
-        for e in edges_of[v]:
-            rem = e & ~cur
-            if rem & ~cand:
-                continue  # some vertex already excluded: edge is dead
-            rem &= ~vbit
-            if rem == 0:
-                blocked = True  # v alone completes this edge
-                break
-            if rem & (rem - 1) == 0:
-                newcand &= ~rem  # unit propagation
-        if not blocked:
-            stack.append((cur | vbit, newcand, size + 1, False))  # include v
+        newcand = cand & ~vbit & ~_closed(v, cur, static, pair, wide)
+        stack.append((cur | vbit, newcand, size + 1, False))  # include v
 
+    # every set better than the incumbent that the search has not ruled
+    # out lies under a frame still stacked, inside that frame's cur | cand
+    r_upper = max([best_size] + [size + cand.bit_count()
+                                 for _, cand, size, _ in stack])
     return ExtremalResult(q, best_size, _witness(hg.field, best_mask),
-                          not truncated, nodes,
-                          time.perf_counter() - t0, "branch_and_bound")
+                          not stack, nodes, time.perf_counter() - t0,
+                          "branch_and_bound", r_upper=r_upper)
 
 
 def r_lower_random(hg: ProgressionHypergraph, iters: int,
@@ -272,7 +329,7 @@ def r_lower_random(hg: ProgressionHypergraph, iters: int,
     if iters < 1:
         raise InvalidRange(f"iters must be >= 1, got {iters}")
     t0 = time.perf_counter()
-    edges_of, usable = _edge_masks(hg)
+    tables, usable = _closing_tables(hg)
     rng = SplitMix64(seed)
     vertices = [v for v in range(q) if usable & (1 << v)]
     best_mask = 0
@@ -281,9 +338,9 @@ def r_lower_random(hg: ProgressionHypergraph, iters: int,
     for _ in range(iters):
         order = vertices[:]
         rng.shuffle(order)
-        cur = _greedy_mask(order, edges_of, usable)
+        cur = _greedy_mask(order, tables, usable)
         attempts += len(order)
-        size = bin(cur).count("1")
+        size = cur.bit_count()
         if size > best_size:
             best_size, best_mask = size, cur
     return ExtremalResult(q, best_size, _witness(hg.field, best_mask),

@@ -53,7 +53,7 @@ from itertools import count, product, zip_longest
 from math import gcd
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DegreeMismatch,
@@ -496,7 +496,9 @@ def _translates(field: FieldSpec, values: np.ndarray) -> np.ndarray:
     for axis in range(k):
         head = ext[(slice(None),) * axis + (slice(0, p - 1),)]
         ext = np.concatenate([ext, head], axis=axis)
-    return sliding_window_view(ext, (p,) * k, axis=tuple(range(k)))
+    # a window axis steps like the start axis it slides along
+    return as_strided(ext, shape=(p,) * k + ext.shape[k:] + (p,) * k,
+                      strides=ext.strides + ext.strides[:k], writeable=False)
 
 
 # --------------------------------------------------------------------------

@@ -429,9 +429,48 @@ def test_extremal_random_method_records_derived_seed(tmp_path):
     assert rc == 0
     rec = recs[0]
     assert rec["exact"] is False
-    assert rec["seed"] == derive_seed(3, 7)
+    assert rec["seed"] == 3  # the envelope keeps the run's own seed
+    assert rec["derived_seed"] == derive_seed(3, 7)
+    assert "r_upper" not in rec
     assert 1 <= rec["r"] <= 3  # never beats the exact optimum of 3
     assert len(rec["witness"]) == rec["r"]
+
+
+@pytest.mark.parametrize("method", ["random", "exact"])
+def test_extremal_record_replays_from_its_config_and_seed(tmp_path, method):
+    # no --seed: the run draws one, and its records must say which
+    rc, recs = run_cli(tmp_path, "extremal", "--p", "31,37", "--polys", "y,y^2",
+                       "--method", method, "--iters", "5", name="run.jsonl")
+    assert rc == 0 and len({rec["seed"] for rec in recs}) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(recs[0]["config"]))
+    rc, again = run_cli(tmp_path, "extremal", "--config", str(cfg),
+                        "--seed", str(recs[0]["seed"]), name="again.jsonl")
+    assert rc == 0
+    assert [(r["r"], r["witness"]) for r in again] == \
+        [(r["r"], r["witness"]) for r in recs]
+
+
+def test_extremal_exact_records_bracket_r(tmp_path):
+    rc, recs = run_cli(tmp_path, "extremal", "--p", "31", "--polys", "y,y^2",
+                       "--degeneracy", "paper_literal", "--node-budget", "50",
+                       "--seed", "1", name="cut.jsonl")
+    rc_full, full = run_cli(tmp_path, "extremal", "--p", "31", "--polys",
+                            "y,y^2", "--degeneracy", "paper_literal",
+                            "--seed", "1", name="full.jsonl")
+    assert rc == rc_full == 0
+    (cut,), (done,) = recs, full
+    assert cut["exact"] is False and done["exact"] is True
+    assert done["r_upper"] == done["r"]
+    assert cut["r"] <= done["r"] <= cut["r_upper"]
+    assert "derived_seed" not in done
+
+
+def test_records_never_override_the_envelope(tmp_path):
+    args = cli.build_parser().parse_args(["count", "--p", "7", "--polys", "y"])
+    ledger = cli.Ledger(args, 5)
+    with pytest.raises(ValueError, match="seed"):
+        ledger.write(seed=6)
 
 
 def test_extremal_refuses_every_q_before_the_first_build(tmp_path, capsys,

@@ -6,6 +6,8 @@ through count_progressions to confirm it really avoids the system.  The
 translation-symmetry break (vertex 0 forced into the search) is checked
 against the full search on relabelled copies that the break cannot apply to,
 and against the sweep on random translation-invariant hypergraphs.  The
+search reads closing tables; an in-file edge-scan branch and bound over
+incidence lists built here from hg.edges is its oracle, node for node.  The
 greedy pass is checked against its definition (an edge scan per vertex) on
 shuffled orders.
 """
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from ffprog.counting import count_progressions
 from ffprog.errors import InsufficientData, InvalidRange, TwistedSystem
 from ffprog.extremal import (ExtremalResult, ProgressionHypergraph,
-                             _edge_masks, _greedy_mask,
+                             _closing_tables, _greedy_mask,
                              _translation_invariant, build_hypergraph,
                              gamma_fit, r_exact, r_lower_random)
 from ffprog.field import make_field
@@ -48,6 +50,89 @@ def oracle_r(p, coeff_lists, y_rule="nonzero"):
         if ok:
             best = max(best, len(members))
     return best
+
+
+def incidence(hg):
+    """Per-vertex lists of edge bitmasks, and the usable mask.
+
+    An edge with one distinct vertex makes that vertex unusable; every
+    other edge is listed at each of its vertices, even one through an
+    unusable vertex, which the scan then finds dead.
+    """
+    masks = [sum(1 << v for v in set(e)) for e in hg.edges]
+    singles = 0
+    for m in masks:
+        if m.bit_count() == 1:
+            singles |= m
+    edges_of = [[] for _ in range(hg.q)]
+    for m in masks:
+        if m.bit_count() > 1:
+            for v in range(hg.q):
+                if m >> v & 1:
+                    edges_of[v].append(m)
+    return edges_of, ((1 << hg.q) - 1) & ~singles
+
+
+def scan_greedy(order, edges_of, usable):
+    """Greedy by the definition: skip v if some edge of v lacks only v."""
+    cur = 0
+    for v in order:
+        vbit = 1 << v
+        if usable & vbit and not any((e & ~cur) == vbit for e in edges_of[v]):
+            cur |= vbit
+    return cur
+
+
+def scan_r_exact(hg, node_budget=10_000_000):
+    """Branch and bound that scans every edge through v at each include.
+
+    (r, witness indices, nodes, exact), in the frame order r_exact uses.
+    """
+    edges_of, usable = incidence(hg)
+    best_mask = scan_greedy(range(hg.q), edges_of, usable)
+    best_size = best_mask.bit_count()
+    nodes = 0
+    truncated = False
+    forced = bool(usable & 1) and _translation_invariant(hg)
+    stack = [(0, usable, 0, forced)]
+    while stack:
+        cur, cand, size, forced = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
+            truncated = True
+            break
+        if size + cand.bit_count() <= best_size:
+            continue
+        if cand == 0:
+            best_size, best_mask = size, cur
+            continue
+        vbit = cand & -cand
+        v = vbit.bit_length() - 1
+        if not forced:
+            stack.append((cur, cand & ~vbit, size, False))
+        blocked = False
+        newcand = cand & ~vbit
+        for e in edges_of[v]:
+            rem = e & ~cur
+            if rem & ~cand:
+                continue  # some vertex already excluded: edge is dead
+            rem &= ~vbit
+            if rem == 0:
+                blocked = True  # v alone completes this edge
+                break
+            if rem & (rem - 1) == 0:
+                newcand &= ~rem  # unit propagation
+        if not blocked:
+            stack.append((cur | vbit, newcand, size + 1, False))
+    witness = tuple(v for v in range(hg.q) if best_mask >> v & 1)
+    return best_size, witness, nodes, not truncated
+
+
+def search_outcome(res):
+    return res.r, res.witness_indices, res.nodes_explored, res.exact
+
+
+BUDGETS = (1, 50, 10_000_000)
 
 
 SYSTEMS = {
@@ -218,6 +303,18 @@ def test_r_exact_node_budget_mid_search():
     assert count_progressions(sys, list(cut.witness), "nonzero") == 0
 
 
+@pytest.mark.parametrize("budget", [1, 50])
+@pytest.mark.parametrize("p,polys", [(13, ("y", "2y")), (31, ("y", "y^2"))])
+def test_truncated_search_brackets_r(p, polys, budget):
+    hg = build_hypergraph(progression_system(list(polys)), make_field(p))
+    full = r_exact(hg)
+    cut = r_exact(hg, node_budget=budget)
+    assert full.exact and full.r_upper == full.r
+    assert not cut.exact
+    assert cut.r <= full.r <= cut.r_upper
+    assert r_lower_random(hg, 3, seed=1).r_upper is None
+
+
 # -- translation-symmetry break -----------------------------------------------
 
 def is_independent(indices, edges):
@@ -236,6 +333,10 @@ def test_r_exact_star_is_not_translation_invariant():
     assert res.exact
     assert res.r == 4
     assert res.witness_indices == (1, 2, 3, 4)
+    # stopped after the root: the greedy seed {0} is the best found, and
+    # the still-stacked branch without 0 keeps all of 1..4 open
+    cut = r_exact(hg, node_budget=1)
+    assert (cut.r, cut.r_upper, cut.exact) == (1, 4, False)
 
 
 def relabelled(hg):
@@ -313,6 +414,56 @@ def test_r_exact_matches_sweep_on_invariant_hypergraphs(case):
     assert is_independent(res.witness_indices, hg.edges)
 
 
+@settings(max_examples=150, deadline=None)
+@given(orbit_hypergraphs())
+def test_closing_tables_match_edge_scan_on_orbit_hypergraphs(case):
+    # the orbits hold up to 4-point edges, so every tier of the tables runs;
+    # a stopped search brackets the sweep's answer
+    hg, _ = case
+    r = sweep_r(hg.q, hg.edges)
+    for budget in BUDGETS:
+        res = r_exact(hg, node_budget=budget)
+        assert search_outcome(res) == scan_r_exact(hg, budget)
+        assert res.r <= r <= res.r_upper
+
+
+IDENTITY_CASES = (
+    [(p, k, polys, policy, relabel) for p, k, polys, policy in BREAK_CASES
+     for relabel in (False, True)]
+    + [(p, 1, ("y", "y^2", "y^3"), "paper_literal", False) for p in (13, 17)])
+
+
+@pytest.mark.parametrize("p,k,polys,policy,relabel", IDENTITY_CASES)
+def test_closing_tables_match_edge_scan(p, k, polys, policy, relabel):
+    hg = build_hypergraph(progression_system(list(polys)), make_field(p, k),
+                          degeneracy=policy)
+    if relabel:
+        hg = relabelled(hg)
+    for budget in BUDGETS:
+        assert search_outcome(r_exact(hg, node_budget=budget)) == \
+            scan_r_exact(hg, budget)
+
+
+@pytest.mark.parametrize("edges,r", [
+    (((3, 3),), 4),                 # one distinct vertex: 3 is unusable
+    (((3, 3), (0, 1, 2)), 3),
+    (((1, 3, 3), (0, 2)), 3),       # two 2-point edges
+    (((0, 1, 1, 2), (2, 3, 4, 4)), 4),
+])
+def test_repeated_vertex_edges_are_sized_by_distinct_vertices(edges, r):
+    hg = ProgressionHypergraph(make_field(5), edges, "nonzero",
+                               "paper_literal")
+    assert sweep_r(5, edges) == r
+    for budget in BUDGETS:
+        assert search_outcome(r_exact(hg, node_budget=budget)) == \
+            scan_r_exact(hg, budget)
+    res = r_exact(hg)
+    assert res.exact and res.r == r
+    assert is_independent(res.witness_indices, edges)
+    greedy = r_lower_random(hg, 20, seed=4)
+    assert is_independent(greedy.witness_indices, edges)
+
+
 def test_bitset_limit():
     field = make_field(521)
     hg = ProgressionHypergraph(field, (), "nonzero", "paper_literal")
@@ -344,16 +495,6 @@ def test_r_lower_random_bounded_by_exact_and_reproducible():
         r_lower_random(hg, 0, seed=1)
 
 
-def scan_greedy(order, edges_of, usable):
-    """Greedy by the definition: skip v if some edge of v lacks only v."""
-    cur = 0
-    for v in order:
-        vbit = 1 << v
-        if usable & vbit and not any((e & ~cur) == vbit for e in edges_of[v]):
-            cur |= vbit
-    return cur
-
-
 @pytest.mark.parametrize("p,k,polys,policy,y_rule", [
     (31, 1, ("y", "y^2"), "paper_literal", "nonzero"),
     (31, 1, ("y", "y^2"), "distinct_points", "nonzero"),
@@ -367,14 +508,16 @@ def scan_greedy(order, edges_of, usable):
 def test_greedy_mask_matches_edge_scan(p, k, polys, policy, y_rule):
     hg = build_hypergraph(progression_system(list(polys)), make_field(p, k),
                           y_rule=y_rule, degeneracy=policy)
-    edges_of, usable = _edge_masks(hg)
+    tables, usable = _closing_tables(hg)
+    edges_of, scan_usable = incidence(hg)
+    assert usable == scan_usable
     rng = random.Random(p ** k)
     orders = [list(range(hg.q))]
     for _ in range(30):
         orders.append(orders[0][:])
         rng.shuffle(orders[-1])
     for order in orders:
-        got = _greedy_mask(order, edges_of, usable)
+        got = _greedy_mask(order, tables, usable)
         assert got == scan_greedy(order, edges_of, usable)
         assert is_independent([v for v in order if got >> v & 1], hg.edges)
 

@@ -244,9 +244,13 @@ def test_window_translation_matches_element_addition(p, k):
     rng = SplitMix64(p * 100 + k)
     values = np.array([rng.random() for _ in range(q)])
     rows = np.array([rng.random() for _ in range(q * q)]).reshape(q, q)
+    blocks = np.array([rng.random() for _ in range(q * 6)]).reshape(q, 2, 3)
     T, T_rows = _translates(F, values), _translates(F, rows)
+    T_blocks = _translates(F, blocks)
+    assert T_blocks.shape == (p,) * k + (2, 3) + (p,) * k
     starts = T[..., 0]   # the x whose last coefficient is 0: still a view
     assert not T.flags.owndata and not starts.flags.owndata
+    assert not T.flags.writeable
     for e in els:
         perm = [(x + e).index for x in els]
         assert np.array_equal(T[e.coeffs].reshape(q), values[perm])
@@ -256,6 +260,10 @@ def test_window_translation_matches_element_addition(p, k):
             np.moveaxis(T_rows[e.coeffs], 0, -1).reshape(q, q), rows[perm])
         assert np.array_equal(starts[e.coeffs].reshape(q // p),
                               values[perm][::p])
+        # two trailing axes ride along the same way
+        assert np.array_equal(
+            np.moveaxis(T_blocks[e.coeffs], (0, 1), (-2, -1)).reshape(q, 2, 3),
+            blocks[perm])
 
 
 def test_field_arith_dispatcher():
