@@ -29,9 +29,10 @@ Conventions shared by every subcommand:
   typed right after the subcommand name (dashes as underscores; `true` is a
   bare switch, `false` and `null` add nothing), so they pass the same checks
   as typed flags, and explicit flags, typed later, win;
-* `extremal` records count the search's work under one `work` key; exact
-  ones add the certified bound `r_upper`, random ones the greedy stream's
-  `derived_seed`;
+* `extremal` records count the search's work under one `work` key (`nodes`,
+  the hypergraph's `edges`, and for exact ones the vertices `fixed` at the
+  root by symmetry breaks); exact ones add the certified bound `r_upper`,
+  random ones the greedy stream's `derived_seed`;
 * exit status: 0 success, 1 usage or input errors, 2 when a checked
   property or bound fails (a machine-readable `failures` record is
   emitted before exiting).
@@ -332,10 +333,12 @@ def _cmd_extremal(args, seed: int, ledger: Ledger) -> int:
                     res = r_lower_random(hg, args.iters,
                                          derive_seed(seed, field.p))
                     extra = {"derived_seed": res.seed}
+                work = {"nodes": res.nodes_explored, "edges": len(hg.edges)}
+                if res.fixed is not None:
+                    work["fixed"] = res.fixed
                 ledger.write(system=str(system), p=field.p, k=field.k,
                              policy=policy, r=res.r, exact=res.exact, **extra,
-                             witness=list(res.witness_indices),
-                             work={"nodes": res.nodes_explored},
+                             witness=list(res.witness_indices), work=work,
                              timing={"ms": int(res.wall_time * 1000)})
                 if policy == policies[0]:
                     gamma_point = ""

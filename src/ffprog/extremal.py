@@ -15,6 +15,17 @@ P_i(y) = P_j(y) or P_i(y) = 0 at small characteristic):
   r = 0;
 * distinct_points: only full-size edges (m+1 distinct points) are kept.
 
+build_hypergraph gathers every configuration at once: one fancy index per
+polynomial into the all-translates view of field._translates gives the
+points x + P_i(y) for every admissible y and every x.  Each row is sorted
+and its repeated points dropped by an adjacent-difference mask; the rows
+with d distinct points are then deduplicated through an exact int64 key
+(the row read as a base-q number, whose order is the rows' lexicographic
+order) or, when q^d >= 2^63, by lexsort.  The hypergraph keeps those
+vertex-set arrays beside its edges, and the invariance checks behind the
+symmetry breaks map them through a vertex permutation and compare the
+sorted, deduplicated result.
+
 r_exact runs an exact branch-and-bound maximum-independent-set search over
 bitmask sets, on an explicit stack rather than by recursion: vertices are
 considered in ascending index order, a greedy pass seeds the incumbent, the
@@ -33,13 +44,21 @@ x -> x + c, so the unusable vertices are all or none, and a largest
 progression-free set S can be translated by -s (s in S) to one containing
 0.  When the edge set passes that invariance check and vertex 0 is usable,
 the search therefore fixes 0 in the set at the root and never explores the
-branch without it; witnesses of such hypergraphs contain vertex 0.  A
-hypergraph that fails the check (hand-built ones may) gets the full search.
+branch without it; witnesses of such hypergraphs contain vertex 0.  When
+the edge set is also invariant under x -> a x for every a != 0 (checked for
+a primitive element, which generates F_q^*; linear systems such as (y, 2y)
+pass), an optimum through 0 can be dilated by v / s to contain any vertex
+v that can join 0, so the search fixes the lowest such v as well.  The
+first optimum in include-first order lies under both fixed vertices, so
+the witness is the one the full search finds, and only the node count
+drops.  A hypergraph that fails a check (hand-built ones may) gets no
+break from it.
 The search is deterministic -- identical inputs give identical witnesses --
 and a node budget turns the result into a best-found lower bound
 (exact = False) with a certified upper bound r_upper beside it, instead of
 ever raising.  r_lower_random is the randomized greedy companion (best of
-`iters` shuffled insertion passes, seeded), and reads the same tables.
+`iters` shuffled insertion passes, seeded, their orders drawn by
+SplitMix64.shuffled_copies in chunks), and reads the same tables.
 
 Background for the symmetry break: Crawford, Ginsberg, Luks & Roy,
 "Symmetry-breaking predicates for search problems", KR 1996.
@@ -54,29 +73,95 @@ Errors raised here: TwistedSystem, InvalidRange, InsufficientData.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _dc_field
+from itertools import chain
 
 import numpy as np
 
 from .counting import poly_index_table
 from .errors import InsufficientData, InvalidRange, TwistedSystem
-from .field import FieldElement, FieldSpec, _translates
+from .field import FieldElement, FieldSpec, _primitive_element, _translates
 from .polys import ProgressionSystem
 from .rng import SplitMix64
+
+_TUPLE_ROWS = 1 << 12   # edge rows turned into tuples per block
 
 
 @dataclass(frozen=True)
 class ProgressionHypergraph:
-    """Deduplicated configuration hypergraph of a system over a field."""
+    """Deduplicated configuration hypergraph of a system over a field.
+
+    build_hypergraph gives its edges as sorted tuples, shortest first and
+    in lexicographic order within a length.  _cache keeps the edges'
+    vertex-set arrays (_vertex_sets), which build_hypergraph fills as it
+    goes; it takes no part in equality.
+    """
 
     field: FieldSpec
     edges: tuple[tuple[int, ...], ...]
     y_rule: str
     degeneracy: str
+    _cache: dict = _dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def q(self) -> int:
         return self.field.q
+
+    def _vertex_sets(self) -> dict[int, np.ndarray]:
+        """The edges as vertex sets, by size (cached): see _point_sets."""
+        if "sets" not in self._cache:
+            edges = [e for e in self.edges if e]
+            lens = np.array([len(e) for e in edges], dtype=np.int64)
+            flat = np.fromiter(chain.from_iterable(edges), np.int64)
+            # each edge padded to the widest by repeating its last vertex,
+            # which leaves its vertex set as it is
+            width = int(lens.max(initial=1))
+            at = np.minimum(np.arange(width), lens[:, None] - 1)
+            self._cache["sets"] = _point_sets(
+                flat[at + (np.cumsum(lens) - lens)[:, None]], self.q)
+        return self._cache["sets"]
+
+
+def _distinct_rows(rows: np.ndarray, q: int) -> np.ndarray:
+    """The distinct rows of a (n, d) array over [0, q), ascending in
+    lexicographic order.
+
+    While q^d < 2^63 a row is its exact int64 key sum_j v_j q^(d-1-j),
+    whose order is the rows' lexicographic order: the keys are sorted,
+    repeats dropped by an adjacent-difference mask, and the rows decoded.
+    Wider rows take lexsort, about ten times slower.
+    """
+    d = rows.shape[1]
+    if q ** d < 2 ** 63:
+        place = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        keys = np.sort(rows @ place)
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        return keys[:, None] // place % q
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.append(True, (rows[1:] != rows[:-1]).any(axis=1))]
+
+
+def _point_sets(rows: np.ndarray, q: int) -> dict[int, np.ndarray]:
+    """Rows of vertex indices read as sets, grouped by size: for each
+    count d of distinct vertices, the distinct d-sets as rows sorted
+    within, in ascending lexicographic order (_distinct_rows)."""
+    rows = np.sort(rows, axis=1)
+    new = np.ones(rows.shape, dtype=bool)
+    new[:, 1:] = rows[:, 1:] != rows[:, :-1]   # first of its run of repeats
+    size = new.sum(axis=1)
+    out = {}
+    for d in range(1, rows.shape[1] + 1):
+        of_d = size == d
+        if of_d.any():
+            out[d] = _distinct_rows(rows[of_d][new[of_d]].reshape(-1, d), q)
+    return out
+
+
+def _as_tuples(rows: np.ndarray):
+    """The rows as tuples of ints, listed _TUPLE_ROWS rows at a time, so
+    the lists of every row never exist at once beside the tuples."""
+    for start in range(0, len(rows), _TUPLE_ROWS):
+        yield from map(tuple, rows[start:start + _TUPLE_ROWS].tolist())
 
 
 def build_hypergraph(system: ProgressionSystem, field: FieldSpec,
@@ -90,21 +175,21 @@ def build_hypergraph(system: ProgressionSystem, field: FieldSpec,
     if degeneracy not in ("paper_literal", "distinct_points"):
         raise InvalidRange(f"unknown degeneracy policy {degeneracy!r}")
     q = field.q
-    coords = [field._coeff_matrix()[poly_index_table(p, field)].tolist()
-              for p in system.P]
-    full_size = system.m1 + 1
-    seen: set[tuple[int, ...]] = set()
     start = 1 if y_rule == "nonzero" else 0
     index = np.arange(q, dtype=np.int64)
     to = _translates(field, index)   # to[c_e]: x -> index of x + e
-    for yi in range(start, q):
-        points = [index] + [to[tuple(e[yi])].reshape(q) for e in coords]
-        for row in np.sort(np.stack(points, axis=1), axis=1).tolist():
-            seen.add(tuple(dict.fromkeys(row)))   # sorted, duplicates dropped
+    points = [np.broadcast_to(index, (q - start, q))]
+    for poly in system.P:
+        # row y: x -> index of x + P(y), for every admissible y at once
+        e = field._coeff_matrix()[poly_index_table(poly, field)[start:]]
+        points.append(to[tuple(e.T)].reshape(q - start, q))
+    full_size = system.m1 + 1
+    sets = _point_sets(np.stack(points, axis=-1).reshape(-1, full_size), q)
     if degeneracy == "distinct_points":
-        seen = {e for e in seen if len(e) == full_size}
-    edges = tuple(sorted(seen, key=lambda e: (len(e), e)))
-    return ProgressionHypergraph(field, edges, y_rule, degeneracy)
+        sets = {d: rows for d, rows in sets.items() if d == full_size}
+    edges = tuple(e for d in sorted(sets) for e in _as_tuples(sets[d]))
+    return ProgressionHypergraph(field, edges, y_rule, degeneracy,
+                                 _cache={"sets": sets})
 
 
 @dataclass(frozen=True)
@@ -120,6 +205,7 @@ class ExtremalResult:
     method: str
     seed: int | None = None
     r_upper: int | None = None   # r_exact: r <= r(hg) <= r_upper
+    fixed: int | None = None     # r_exact: vertices fixed at the root
 
     @property
     def witness_indices(self) -> tuple[int, ...]:
@@ -247,20 +333,48 @@ def _witness(field: FieldSpec, mask: int) -> tuple[FieldElement, ...]:
     return tuple(out)
 
 
+def _invariant(hg: ProgressionHypergraph, perm: np.ndarray) -> bool:
+    """Whether x -> perm[x], a permutation of the vertices, maps the edge
+    set onto itself: the mapped vertex sets of each size, sorted and
+    deduplicated, equal the edges' own."""
+    return all(np.array_equal(
+        _distinct_rows(np.sort(perm[rows], axis=1), hg.q), rows)
+        for rows in hg._vertex_sets().values())
+
+
 def _translation_invariant(hg: ProgressionHypergraph) -> bool:
     """Whether the edge set maps onto itself under every x -> x + c.
 
     Checked for the c whose coefficient vectors are the unit vectors, which
-    generate (F_q, +); O(|E| k).
+    generate (F_q, +).
     """
     field = hg.field
-    masks = {_mask(e) for e in hg.edges}
     translates = _translates(field, np.arange(field.q, dtype=np.int64))
-    for unit in np.eye(field.k, dtype=np.int64):
-        to = translates[tuple(unit)].reshape(field.q).tolist()
-        if any(_mask(to[v] for v in e) not in masks for e in hg.edges):
-            return False
-    return True
+    return all(_invariant(hg, translates[tuple(unit)].reshape(field.q))
+               for unit in np.eye(field.k, dtype=np.int64))
+
+
+def _dilation_invariant(hg: ProgressionHypergraph) -> bool:
+    """Whether the edge set maps onto itself under every x -> a x, a != 0.
+
+    Checked for a = g, a primitive element, which generates F_q^*.
+    """
+    field = hg.field
+    g = np.array(_primitive_element(field).coeffs, dtype=np.int64)
+    return _invariant(hg, field._mul_rows(field._coeff_matrix(), g)
+                      @ field._place_values())
+
+
+def _fixed_at_root(hg: ProgressionHypergraph, usable: int) -> int:
+    """How many vertices the search may fix at the root.
+
+    0 when vertex 0 is unusable or the edge set is not translation
+    invariant; else 1 (vertex 0), or 2 when it is also dilation invariant
+    (vertex 0 and the lowest candidate left after including it).
+    """
+    if not (usable & 1 and _translation_invariant(hg)):
+        return 0
+    return 2 if _dilation_invariant(hg) else 1
 
 
 def r_exact(hg: ProgressionHypergraph,
@@ -270,9 +384,16 @@ def r_exact(hg: ProgressionHypergraph,
     When the edge set is translation-invariant (every hypergraph that
     build_hypergraph returns is) and vertex 0 is usable, some optimum
     contains 0: the search includes 0 at the root and never explores the
-    branch without it, so the witness then contains vertex 0.  Any other
-    hypergraph gets the full search.  The search runs on an explicit stack
-    (no recursion), visiting nodes in include-first depth-first order.
+    branch without it, so the witness then contains vertex 0.  When the
+    edge set is also invariant under x -> a x (linear systems such as
+    (y, 2y)), an optimum through 0 can be dilated to contain any vertex v
+    that can join 0, so the search includes the lowest such v as well.
+    `fixed` reports how many vertices were fixed this way (0, 1 or 2).
+    Any other hypergraph gets the full search.  The search runs on an
+    explicit stack (no recursion), visiting nodes in include-first
+    depth-first order; the first optimum in that order lies under the
+    fixed vertices, so on a completed search fixing them changes the node
+    count only.
 
     Runs to completion within node_budget (exact = True, r_upper = r) or
     stops at the first node over it and returns the best set found so far
@@ -289,12 +410,15 @@ def r_exact(hg: ProgressionHypergraph,
     best_size = best_mask.bit_count()
     nodes = 0
     # frames (cur, cand, size, forced): the set so far, the vertices still
-    # open, |cur|, and whether the exclude branch of the lowest candidate
-    # is skipped.  The include child is pushed above the exclude sibling,
-    # so nodes pop in the order of a recursive include-first search.  No
-    # candidate completes an edge with cur, so including v never does.
-    forced = bool(usable & 1) and _translation_invariant(hg)
-    stack = [(0, usable, 0, forced)]
+    # open, |cur|, and for how many levels, this one first, the search
+    # takes only the include branch of the lowest candidate.  The include
+    # child is pushed above the exclude sibling, so nodes pop in the order
+    # of a recursive include-first search.  No candidate completes an edge
+    # with cur, so including v never does.
+    fixed = _fixed_at_root(hg, usable)
+    if fixed == 2 and not usable & ~1 & ~static[0]:
+        fixed = 1   # no vertex can join 0: the dilation break fixes none
+    stack = [(0, usable, 0, fixed)]
     while stack:
         cur, cand, size, forced = stack.pop()
         nodes += 1
@@ -308,10 +432,12 @@ def r_exact(hg: ProgressionHypergraph,
             continue
         vbit = cand & -cand
         v = vbit.bit_length() - 1
-        if not forced:
-            stack.append((cur, cand & ~vbit, size, False))  # exclude v
+        if forced:
+            forced -= 1   # the include child inherits what is left
+        else:
+            stack.append((cur, cand & ~vbit, size, 0))  # exclude v
         newcand = cand & ~vbit & ~_closed(v, cur, static, pair, wide)
-        stack.append((cur | vbit, newcand, size + 1, False))  # include v
+        stack.append((cur | vbit, newcand, size + 1, forced))  # include v
 
     # every set better than the incumbent that the search has not ruled
     # out lies under a frame still stacked, inside that frame's cur | cand
@@ -319,7 +445,7 @@ def r_exact(hg: ProgressionHypergraph,
                                  for _, cand, size, _ in stack])
     return ExtremalResult(q, best_size, _witness(hg.field, best_mask),
                           not stack, nodes, time.perf_counter() - t0,
-                          "branch_and_bound", r_upper=r_upper)
+                          "branch_and_bound", r_upper=r_upper, fixed=fixed)
 
 
 def r_lower_random(hg: ProgressionHypergraph, iters: int,
@@ -335,9 +461,7 @@ def r_lower_random(hg: ProgressionHypergraph, iters: int,
     best_mask = 0
     best_size = 0
     attempts = 0
-    for _ in range(iters):
-        order = vertices[:]
-        rng.shuffle(order)
+    for order in rng.shuffled_copies(vertices, iters):
         cur = _greedy_mask(order, tables, usable)
         attempts += len(order)
         size = cur.bit_count()

@@ -501,6 +501,14 @@ def _translates(field: FieldSpec, values: np.ndarray) -> np.ndarray:
                       strides=ext.strides + ext.strides[:k], writeable=False)
 
 
+def _primitive_element(field: FieldSpec) -> FieldElement:
+    """The first element, in enumeration order, that generates F_q^*: the
+    g with g^((q - 1) / r) != 1 for every prime r dividing q - 1."""
+    exponents = [(field.q - 1) // r for r in _prime_factors(field.q - 1)]
+    return next(g for g in field.elements()[1:]
+                if all(g ** e != field.one for e in exponents))
+
+
 # --------------------------------------------------------------------------
 # public operations
 # --------------------------------------------------------------------------

@@ -21,6 +21,9 @@ the package contract:
   the desk-scale n used here and is accepted for simplicity).
 * ``shuffle``     -- Fisher--Yates from the top index downward, using
   ``randrange(i + 1)`` for position i.
+* ``shuffled_copies(items, times)`` -- ``times`` shuffled copies of items,
+  in order: copy t equals a fresh copy of items put through ``shuffle``
+  after t earlier such calls.
 * ``unit_disk()`` -- rejection sampling of (2u-1) + (2v-1)i over the square
   until inside the closed unit disk; u, v successive ``random()`` draws.
 * ``subset(n, density)`` -- index i is included iff ``random() < density``,
@@ -38,6 +41,11 @@ fewer accepted pairs than are still needed is consumed whole (the state
 moves past all of its draws, rejected ones included), and the last chunk
 moves the state only to the end of the last pair it keeps.  ``subset`` and
 ``shuffle`` draw through ``random_block`` and ``u64_block``.
+``shuffled_copies`` draws the Fisher--Yates indices of as many copies as
+fit in one chunk of at most _SHUFFLE_CHUNK outputs (one copy when a single
+copy needs more), and moves the state past each copy as it yields it, so
+after t copies the state is where t ``shuffle`` calls leave it.  No other
+draw may come from the generator while the copies are being consumed.
 
 Seed derivation for independent experiment cells is also fixed here:
 ``derive_seed(base, k1, k2, ...)`` folds each key into the state with the
@@ -56,6 +64,8 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # pairs per unit_disk_block chunk at most: bounds its scratch arrays
 _DISK_CHUNK = 1 << 16
+# outputs per shuffled_copies chunk at most: bounds its index arrays
+_SHUFFLE_CHUNK = 1 << 14
 # the stream's constants as uint64 scalars, converted once, not per block
 _U_GOLDEN = np.uint64(_GOLDEN)
 _U_M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -90,6 +100,12 @@ def _outputs(state: int, n: int) -> np.ndarray:
 def _floats(u: np.ndarray) -> np.ndarray:
     """random() of each output: the top 53 bits times 2^-53 (exact)."""
     return (u >> _U11) * 2.0 ** -53
+
+
+def _fisher_yates(items: list, js) -> None:
+    """Swap items[i] with items[j_i] for i = n-1 .. 1, js in that order."""
+    for i, j in zip(range(len(items) - 1, 0, -1), js):
+        items[i], items[j] = items[j], items[i]
 
 
 def derive_seed(base: int, *keys: int) -> int:
@@ -147,8 +163,25 @@ class SplitMix64:
             return
         # j_i = randrange(i + 1) for i = n-1 .. 1, drawn as one block
         js = self.u64_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
-        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
-            items[i], items[j] = items[j], items[i]
+        _fisher_yates(items, js.tolist())
+
+    def shuffled_copies(self, items, times: int):
+        """Yield `times` shuffled copies of items: each the list a fresh
+        copy would be after one shuffle() call, the calls in sequence."""
+        items = list(items)
+        n = len(items)
+        draws = max(n - 1, 0)
+        per_chunk = max(1, _SHUFFLE_CHUNK // max(draws, 1))
+        moduli = np.arange(n, 1, -1, dtype=np.uint64)
+        for start in range(0, times, per_chunk):
+            copies = min(per_chunk, times - start)
+            # row t: the j_i of copy t, drawn without moving the state
+            js = _outputs(self.state, copies * draws).reshape(copies, draws)
+            for row in (js % moduli).tolist():
+                self._advance(draws)
+                order = items[:]
+                _fisher_yates(order, row)
+                yield order
 
     def unit_disk(self) -> complex:
         """Uniform complex sample from the closed unit disk (rejection)."""

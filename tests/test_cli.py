@@ -414,6 +414,30 @@ def test_extremal_records_and_csv(tmp_path):
     assert float(gamma_point) == pytest.approx(1 - math.log(2) / math.log(5))
 
 
+@pytest.mark.parametrize("polys,fixed", [("y,2y", 2), ("y,y^2", 1)])
+def test_extremal_records_count_edges_and_fixed_vertices(tmp_path, polys,
+                                                         fixed):
+    # (y, 2y) is invariant under x -> a x as well as x -> x + c, so the
+    # search fixes two vertices at the root; (y, y^2) only one
+    rc, recs = run_cli(tmp_path, "extremal", "--p", "11,13", "--polys", polys,
+                       "--seed", "2")
+    assert rc == 0 and len(recs) == 4
+    field_edges = {
+        (rec["p"], rec["policy"]): len(ffprog.build_hypergraph(
+            ffprog.progression_system(polys.split(",")),
+            make_field(rec["p"]), degeneracy=rec["policy"]).edges)
+        for rec in recs}
+    for rec in recs:
+        assert rec["work"]["fixed"] == fixed
+        assert rec["work"]["edges"] == field_edges[(rec["p"], rec["policy"])]
+    rc, recs = run_cli(tmp_path, "extremal", "--p", "11", "--polys", polys,
+                       "--method", "random", "--iters", "3", "--seed", "2",
+                       name="random.jsonl")
+    assert rc == 0
+    assert all("fixed" not in rec["work"] and rec["work"]["edges"] > 0
+               for rec in recs)
+
+
 def test_extremal_reruns_are_identical_modulo_timing(tmp_path):
     argv = ("extremal", "--p", "7", "--polys", "y,2y", "--seed", "3")
     rc1, recs1 = run_cli(tmp_path, *argv, name="one.jsonl")

@@ -1,29 +1,37 @@
 """Extremal progression-free sets: hypergraphs, exact search, fits.
 
-r_exact is validated against an in-file 2^q exhaustive sweep over every
-subset (pure integers, no shared code), and every witness is replayed
-through count_progressions to confirm it really avoids the system.  The
-translation-symmetry break (vertex 0 forced into the search) is checked
-against the full search on relabelled copies that the break cannot apply to,
-and against the sweep on random translation-invariant hypergraphs.  The
-search reads closing tables; an in-file edge-scan branch and bound over
-incidence lists built here from hg.edges is its oracle, node for node.  The
-greedy pass is checked against its definition (an edge scan per vertex) on
-shuffled orders.
+build_hypergraph gathers every translate in one pass and deduplicates rows
+by integer keys; the per-y loop it replaced is its oracle here, edge for
+edge, and so is element arithmetic on FieldElements.  r_exact is validated
+against an in-file 2^q exhaustive sweep over every subset (pure integers,
+no shared code), and every witness is replayed through count_progressions
+to confirm it really avoids the system.  The translation-symmetry break
+(vertex 0 forced into the search) is checked against the full search on
+relabelled copies that the break cannot apply to, and against the sweep on
+random translation-invariant hypergraphs.  The dilation gate behind the
+second break is checked against every a in F_q^* by FieldElement products,
+and the search with it against the search without it.  The search reads
+closing tables; an in-file edge-scan branch and bound over incidence lists
+built here from hg.edges is its oracle, node for node.  The greedy pass is
+checked against its definition (an edge scan per vertex) on shuffled
+orders.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffprog.counting import count_progressions
+from ffprog import extremal
+from ffprog.counting import count_progressions, poly_index_table
 from ffprog.errors import InsufficientData, InvalidRange, TwistedSystem
 from ffprog.extremal import (ExtremalResult, ProgressionHypergraph,
-                             _closing_tables, _greedy_mask,
+                             _closing_tables, _dilation_invariant,
+                             _fixed_at_root, _greedy_mask,
                              _translation_invariant, build_hypergraph,
                              gamma_fit, r_exact, r_lower_random)
-from ffprog.field import make_field
+from ffprog.field import _translates, make_field
 from ffprog.polys import progression_system, reduce_and_eval
 
 
@@ -86,15 +94,15 @@ def scan_greedy(order, edges_of, usable):
 def scan_r_exact(hg, node_budget=10_000_000):
     """Branch and bound that scans every edge through v at each include.
 
-    (r, witness indices, nodes, exact), in the frame order r_exact uses.
+    (r, witness indices, nodes, exact), in the frame order r_exact uses;
+    the symmetry breaks are read from r_exact's own gate.
     """
     edges_of, usable = incidence(hg)
     best_mask = scan_greedy(range(hg.q), edges_of, usable)
     best_size = best_mask.bit_count()
     nodes = 0
     truncated = False
-    forced = bool(usable & 1) and _translation_invariant(hg)
-    stack = [(0, usable, 0, forced)]
+    stack = [(0, usable, 0, _fixed_at_root(hg, usable))]
     while stack:
         cur, cand, size, forced = stack.pop()
         nodes += 1
@@ -108,8 +116,10 @@ def scan_r_exact(hg, node_budget=10_000_000):
             continue
         vbit = cand & -cand
         v = vbit.bit_length() - 1
-        if not forced:
-            stack.append((cur, cand & ~vbit, size, False))
+        if forced:
+            forced -= 1
+        else:
+            stack.append((cur, cand & ~vbit, size, 0))
         blocked = False
         newcand = cand & ~vbit
         for e in edges_of[v]:
@@ -123,7 +133,7 @@ def scan_r_exact(hg, node_budget=10_000_000):
             if rem & (rem - 1) == 0:
                 newcand &= ~rem  # unit propagation
         if not blocked:
-            stack.append((cur | vbit, newcand, size + 1, False))
+            stack.append((cur | vbit, newcand, size + 1, forced))
     witness = tuple(v for v in range(hg.q) if best_mask >> v & 1)
     return best_size, witness, nodes, not truncated
 
@@ -140,6 +150,26 @@ SYSTEMS = {
     "ap3": ["y", "2y"],
     "quadratic": ["y", "y^2"],
 }
+
+
+def loop_hypergraph(system, field, y_rule="nonzero",
+                    degeneracy="paper_literal"):
+    """Edges built one y at a time: each configuration row sorted, its
+    repeats dropped, and the rows deduplicated in a set of tuples."""
+    q = field.q
+    coords = [field._coeff_matrix()[poly_index_table(p, field)].tolist()
+              for p in system.P]
+    seen = set()
+    start = 1 if y_rule == "nonzero" else 0
+    index = np.arange(q, dtype=np.int64)
+    to = _translates(field, index)   # to[c_e]: x -> index of x + e
+    for yi in range(start, q):
+        points = [index] + [to[tuple(e[yi])].reshape(q) for e in coords]
+        for row in np.sort(np.stack(points, axis=1), axis=1).tolist():
+            seen.add(tuple(dict.fromkeys(row)))   # sorted, duplicates dropped
+    if degeneracy == "distinct_points":
+        seen = {e for e in seen if len(e) == system.m1 + 1}
+    return tuple(sorted(seen, key=lambda e: (len(e), e)))
 
 
 # -- hypergraph construction ---------------------------------------------------
@@ -182,9 +212,9 @@ def test_hypergraph_y_rule_all_includes_singletons():
 @pytest.mark.parametrize("y_rule", ["nonzero", "all"])
 @pytest.mark.parametrize("policy", ["paper_literal", "distinct_points"])
 @pytest.mark.parametrize("polys", [("y", "y^2"), ("y", "2y"), ("y^2", "y^3")])
-@pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (5, 2)])
-def test_hypergraph_matches_element_arithmetic_off_prime_fields(p, k, polys,
-                                                                policy, y_rule):
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (5, 2), (7, 1), (11, 1),
+                                 (13, 1)])
+def test_hypergraph_matches_element_arithmetic(p, k, polys, policy, y_rule):
     # the oracle adds FieldElements; build_hypergraph reads translates off
     # the (p,)*k grid.  ("y", "2y") collapses at p = 2, so both policies
     # see degenerate edges there.
@@ -303,8 +333,11 @@ def test_r_exact_node_budget_mid_search():
     assert count_progressions(sys, list(cut.witness), "nonzero") == 0
 
 
-@pytest.mark.parametrize("budget", [1, 50])
-@pytest.mark.parametrize("p,polys", [(13, ("y", "2y")), (31, ("y", "y^2"))])
+# (y, 2y) at p = 13 passes the dilation gate and finishes in 27 nodes, so
+# its mid-search cut is at 10 nodes
+@pytest.mark.parametrize("p,polys,budget", [
+    (13, ("y", "2y"), 1), (13, ("y", "2y"), 10),
+    (31, ("y", "y^2"), 1), (31, ("y", "y^2"), 50)])
 def test_truncated_search_brackets_r(p, polys, budget):
     hg = build_hypergraph(progression_system(list(polys)), make_field(p))
     full = r_exact(hg)
@@ -330,7 +363,7 @@ def test_r_exact_star_is_not_translation_invariant():
                                "nonzero", "paper_literal")
     assert not _translation_invariant(hg)
     res = r_exact(hg)
-    assert res.exact
+    assert res.exact and res.fixed == 0
     assert res.r == 4
     assert res.witness_indices == (1, 2, 3, 4)
     # stopped after the root: the greedy seed {0} is the best found, and
@@ -406,8 +439,12 @@ def orbit_hypergraphs(draw):
 def test_r_exact_matches_sweep_on_invariant_hypergraphs(case):
     hg, invariant = case
     assert _translation_invariant(hg) is invariant
+    assert _dilation_invariant(hg) is dilation_brute(hg)
     res = r_exact(hg)
     assert res.exact
+    # r <= 1 leaves no vertex beside 0 for the dilation break to fix
+    assert res.fixed == (min(1 + _dilation_invariant(hg), res.r)
+                         if invariant else 0)
     assert res.r == sweep_r(hg.q, hg.edges)
     assert len(res.witness_indices) == res.r
     assert 0 in res.witness_indices or not (invariant and res.r)
@@ -431,6 +468,32 @@ IDENTITY_CASES = (
     [(p, k, polys, policy, relabel) for p, k, polys, policy in BREAK_CASES
      for relabel in (False, True)]
     + [(p, 1, ("y", "y^2", "y^3"), "paper_literal", False) for p in (13, 17)])
+
+
+@pytest.mark.parametrize("y_rule", ["nonzero", "all"])
+@pytest.mark.parametrize("p,k,polys,policy",
+                         sorted({case[:4] for case in IDENTITY_CASES}))
+def test_build_matches_the_per_y_loop(p, k, polys, policy, y_rule):
+    system, field = progression_system(list(polys)), make_field(p, k)
+    hg = build_hypergraph(system, field, y_rule=y_rule, degeneracy=policy)
+    assert hg.edges == loop_hypergraph(system, field, y_rule, policy)
+    # the vertex sets the build keeps equal those read back from its edges
+    fresh = ProgressionHypergraph(field, hg.edges, y_rule, policy)
+    kept, read = hg._vertex_sets(), fresh._vertex_sets()
+    assert kept.keys() == read.keys()
+    assert all(np.array_equal(kept[d], read[d]) for d in kept)
+
+
+@pytest.mark.parametrize("policy", ["paper_literal", "distinct_points"])
+def test_build_past_int64_keys_matches_the_per_y_loop(policy):
+    # ten-point rows over GF(127) have no int64 key (127^10 > 2^63), so
+    # they are deduplicated by lexsort; the narrower ones by keys
+    system = progression_system(["y"] + [f"y^{i}" for i in range(2, 10)])
+    field = make_field(127)
+    assert 127 ** 10 > 2 ** 63 > 127 ** 9
+    hg = build_hypergraph(system, field, degeneracy=policy)
+    assert hg.edges == loop_hypergraph(system, field, "nonzero", policy)
+    assert max(map(len, hg.edges)) == 10
 
 
 @pytest.mark.parametrize("p,k,polys,policy,relabel", IDENTITY_CASES)
@@ -462,6 +525,75 @@ def test_repeated_vertex_edges_are_sized_by_distinct_vertices(edges, r):
     assert is_independent(res.witness_indices, edges)
     greedy = r_lower_random(hg, 20, seed=4)
     assert is_independent(greedy.witness_indices, edges)
+
+
+# -- dilation-symmetry break ---------------------------------------------------
+
+def dilation_brute(hg):
+    """Whether every x -> a x, a != 0, maps the edges onto themselves as
+    sets, by FieldElement products."""
+    els = hg.field.elements()
+    edges = {frozenset(e) for e in hg.edges}
+    return all({frozenset((a * els[v]).index for v in e) for e in edges}
+               == edges for a in els[1:])
+
+
+@pytest.mark.parametrize("policy", ["paper_literal", "distinct_points"])
+@pytest.mark.parametrize("polys", [("y", "2y"), ("y", "y^2"), ("y^2",),
+                                   ("y^2", "y^3"), ("y", "y^2", "y^3")])
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (11, 1), (13, 1), (3, 2),
+                                 (2, 3), (5, 2)])
+def test_dilation_gate_matches_every_multiplier(p, k, polys, policy):
+    hg = build_hypergraph(progression_system(list(polys)), make_field(p, k),
+                          degeneracy=policy)
+    dilation = dilation_brute(hg)
+    assert _dilation_invariant(hg) is dilation
+    res = r_exact(hg)
+    # with r = 1 no vertex can join 0, and the second break fixes none
+    assert res.fixed == min(1 + dilation, res.r)
+    assert search_outcome(res) == scan_r_exact(hg)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
+def test_translation_without_dilation_fixes_one_vertex(p, k):
+    # the orbit of {0, 1} under x -> x + c: a dilation by a moves it to the
+    # orbit of {0, a}, a different edge set
+    field = make_field(p, k)
+    els = field.elements()
+    edges = tuple(sorted(tuple(sorted((c.index, (c + field.one).index)))
+                         for c in els))
+    hg = ProgressionHypergraph(field, edges, "nonzero", "paper_literal")
+    assert _translation_invariant(hg)
+    assert not _dilation_invariant(hg) and not dilation_brute(hg)
+    res = r_exact(hg)
+    assert res.exact and res.fixed == 1
+    assert res.r == sweep_r(hg.q, edges) and 0 in res.witness_indices
+    assert search_outcome(res) == scan_r_exact(hg)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+def test_dilation_break_keeps_r_and_witness(p, monkeypatch):
+    hg = build_hypergraph(progression_system(["y", "2y"]), make_field(p))
+    on = r_exact(hg)
+    monkeypatch.setattr(extremal, "_dilation_invariant", lambda hg: False)
+    off = r_exact(hg)
+    assert (on.fixed, off.fixed) == (2, 1)
+    assert on.exact and off.exact
+    assert (on.r, on.witness_indices) == (off.r, off.witness_indices)
+    assert on.nodes_explored < off.nodes_explored
+
+
+def test_fixed_counts_the_vertices_fixed():
+    quadratic = build_hypergraph(progression_system(["y", "y^2"]),
+                                 make_field(11))
+    assert r_exact(quadratic).fixed == 1
+    assert r_lower_random(quadratic, 3, seed=1).fixed is None
+    # (y) over F_5: every pair is an edge, so no vertex can join 0 and the
+    # dilation break, though its gate passes, has nothing to fix
+    pairs = build_hypergraph(progression_system(["y"]), make_field(5))
+    assert _fixed_at_root(pairs, 0b11111) == 2
+    res = r_exact(pairs)
+    assert (res.r, res.fixed, res.witness_indices) == (1, 1, (0,))
 
 
 def test_bitset_limit():

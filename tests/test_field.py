@@ -21,7 +21,8 @@ from ffprog.errors import (BudgetExceeded, DegreeMismatch, DivisionByZero,
                            FieldMismatch, InvalidRange, NotPrime,
                            ReducibleModulus)
 from ffprog.field import (_MR_EXACT_BELOW, _TRIAL_DIVISORS, FieldSpec,
-                          _is_irreducible, _prime_factors, _translates,
+                          _is_irreducible, _prime_factors,
+                          _primitive_element, _translates,
                           character_eval, enumerate_elements, field_arith,
                           is_prime, make_field, trace)
 from ffprog.rng import SplitMix64
@@ -369,6 +370,24 @@ def test_is_prime_and_prime_factors_match_trial_division():
         factors = _prime_factors(n)
         assert factors == trial_division(n), n
         assert is_prime(n) == (factors == [n]), n
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (7, 1), (13, 1), (31, 1),
+                                 (2, 3), (3, 2), (2, 4), (5, 2)])
+def test_primitive_element_is_the_first_generator(p, k):
+    # the multiplicative order of each element, by repeated products
+    field = make_field(p, k)
+
+    def order(a):
+        n, x = 1, a
+        while x != field.one:
+            n, x = n + 1, x * a
+        return n
+
+    orders = [order(a) for a in field.elements()[1:]]
+    g = _primitive_element(field)
+    assert order(g) == field.q - 1
+    assert g.index == 1 + orders.index(field.q - 1)
 
 
 def test_prime_factors_of_planted_products():

@@ -205,6 +205,59 @@ def test_unit_disk_block_state_after_short_chunks(seed, n, chunk):
     assert gen.next_u64() == ref.u64()
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, n=LENGTHS, times=st.integers(0, 12))
+def test_shuffled_copies_equal_repeated_shuffles(seed, n, times):
+    gen, ref = SplitMix64(seed), ScalarOracle(seed)
+    items = [f"v{i}" for i in range(n)]
+    got = list(gen.shuffled_copies(items, times))
+    want = []
+    for _ in range(times):
+        want.append(items[:])
+        ref.shuffle(want[-1])
+    assert got == want and gen.state == ref.state
+    assert items == [f"v{i}" for i in range(n)]  # the input is left as it is
+    assert gen.next_u64() == ref.u64()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n=st.integers(0, 12), times=st.integers(0, 9),
+       chunk=st.integers(1, 8))
+def test_shuffled_copies_across_short_chunks(seed, n, times, chunk):
+    # a chunk holds chunk // (n - 1) copies, and one copy when n - 1 is
+    # larger; after each copy the state is where that many shuffles leave it
+    gen, ref = SplitMix64(seed), ScalarOracle(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "_SHUFFLE_CHUNK", chunk)
+        for order in gen.shuffled_copies(range(n), times):
+            want = list(range(n))
+            ref.shuffle(want)
+            assert order == want and gen.state == ref.state
+    assert gen.next_u64() == ref.u64()
+
+
+def test_shuffled_copies_draw_bounded_chunks(monkeypatch):
+    # 10^12 copies of 50 items: each chunk draws at most _SHUFFLE_CHUNK
+    # outputs, so the first copies come at once and no block of 4.9e13
+    # outputs is ever asked for
+    sizes = []
+    outputs = rng_module._outputs
+
+    def spy(state, n):
+        sizes.append(n)
+        return outputs(state, n)
+
+    monkeypatch.setattr(rng_module, "_outputs", spy)
+    gen, ref = SplitMix64(5), ScalarOracle(5)
+    copies = gen.shuffled_copies(range(50), 10 ** 12)
+    for _ in range(rng_module._SHUFFLE_CHUNK // 49 + 3):
+        want = list(range(50))
+        ref.shuffle(want)
+        assert next(copies) == want
+    assert sizes == [rng_module._SHUFFLE_CHUNK // 49 * 49] * 2
+    assert gen.state == ref.state
+
+
 def test_block_of_negative_length_is_refused():
     gen = SplitMix64(3)
     with pytest.raises(ValueError):
