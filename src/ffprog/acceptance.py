@@ -1,10 +1,12 @@
 """Acceptance suite: ten numbered end-to-end checks with fixed seeds.
 
 Each criterion is a self-contained function returning a
-:class:`CriterionResult`; `run_all` executes them in order and prints one
-PASS/FAIL line per criterion.  The suite is what `ffprog acceptance` runs
-and what tests/test_acceptance.py asserts on, so the two entry points can
-never drift apart.
+:class:`CriterionResult`: its check returns (passed, detail) and the
+`_criterion` wrapper times it, applies its runtime limit and builds the
+result.  `run_all` executes them in order and prints one PASS/FAIL line
+per criterion.  The suite is what `ffprog acceptance` runs and what
+tests/test_acceptance.py asserts on, so the two entry points can never
+drift apart.
 
 Every criterion that needs randomness derives its seeds from the fixed
 master seed below through `derive_seed`, making the whole suite
@@ -17,6 +19,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from functools import wraps
 from fractions import Fraction
 
 import numpy as np
@@ -54,12 +57,27 @@ class CriterionResult:
                 f"({self.detail}) [{self.seconds:.1f}s]")
 
 
+def _criterion(index: int, name: str, limit: float | None = None):
+    """Criterion `index` from a check returning (passed, detail): timed, and
+    failed past `limit` seconds when a limit is given."""
+    def wrap(check):
+        @wraps(check)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = check()
+            dt = time.perf_counter() - t0
+            ok = passed and (limit is None or dt < limit)
+            return CriterionResult(index, name, ok, detail, dt)
+        return run
+    return wrap
+
+
 # --------------------------------------------------------------------------
 # criterion 1: U^2 computed naively equals the l^4 norm of the spectrum
 # --------------------------------------------------------------------------
 
-def criterion_1() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(1, "naive U^2 equals Fourier U^2 (100 f x 7 fields)", 10)
+def criterion_1():
     fields = [(7, 1), (11, 1), (13, 1), (5, 2), (3, 3), (7, 2), (101, 1)]
     worst = 0.0
     for p, k in fields:
@@ -70,19 +88,15 @@ def criterion_1() -> CriterionResult:
             b = gowers_u2_via_fourier(f).value
             rel = abs(a - b) / max(a, b, 1e-12)
             worst = max(worst, rel)
-    dt = time.perf_counter() - t0
-    ok = worst <= 1e-8 and dt < 10.0
-    return CriterionResult(
-        1, "naive U^2 equals Fourier U^2 (100 f x 7 fields)",
-        ok, f"max rel diff {worst:.2e}", dt)
+    return worst <= 1e-8, f"max rel diff {worst:.2e}"
 
 
 # --------------------------------------------------------------------------
 # criterion 2: Gowers norm monotonicity U^s <= U^(s+1)
 # --------------------------------------------------------------------------
 
-def criterion_2() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(2, "U^s <= U^(s+1) for s in {1,2,3} (100 f x q in {7,11,13})", 60)
+def criterion_2():
     violations = 0
     worst = 0.0
     for q in (7, 11, 13):
@@ -95,19 +109,15 @@ def criterion_2() -> CriterionResult:
                 worst = max(worst, gap)
                 if gap > 1e-9:
                     violations += 1
-    dt = time.perf_counter() - t0
-    ok = violations == 0 and dt < 60.0
-    return CriterionResult(
-        2, "U^s <= U^(s+1) for s in {1,2,3} (100 f x q in {7,11,13})",
-        ok, f"violations {violations}, worst gap {worst:.2e}", dt)
+    return violations == 0, f"violations {violations}, worst gap {worst:.2e}"
 
 
 # --------------------------------------------------------------------------
 # criterion 3: square-root cancellation bound for monomial character sums
 # --------------------------------------------------------------------------
 
-def criterion_3() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(3, "Weil sweep |E e_p(a y^d)| <= (d-1)/sqrt(p), p in [5,199]", 30)
+def criterion_3():
     primes = _primes(5, 199)
     checked = 0
     violations = 0
@@ -123,13 +133,9 @@ def criterion_3() -> CriterionResult:
             worst_margin = max(worst_margin, np.abs(sums).max() - bound)
     # tie in the single-instance operation on a spot check
     w = weil_sum(make_field(7), [int_poly([0, 0, 1])], [3])
-    spot_ok = w.within_bound
-    dt = time.perf_counter() - t0
-    ok = violations == 0 and spot_ok and dt < 30.0
-    return CriterionResult(
-        3, "Weil sweep |E e_p(a y^d)| <= (d-1)/sqrt(p), p in [5,199]",
-        ok, f"{checked} sums, violations {violations}, "
-            f"worst margin {worst_margin:.2e}", dt)
+    return (violations == 0 and w.within_bound,
+            f"{checked} sums, violations {violations}, "
+            f"worst margin {worst_margin:.2e}")
 
 
 # --------------------------------------------------------------------------
@@ -166,8 +172,8 @@ def _criterion_4_sets():
             yield F, rng.subset(q, 0.5)
 
 
-def criterion_4() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(4, "q^2 Lambda(1_A,..) = brute-force count, exhaustive + random A")
+def criterion_4():
     system = progression_system(["y", "y^2"])
     coeffs = [[0, 1], [0, 0, 1]]
     mismatches = 0
@@ -177,11 +183,7 @@ def criterion_4() -> CriterionResult:
         cells += 1
         if got != _oracle_count(F.p, coeffs, A):
             mismatches += 1
-    dt = time.perf_counter() - t0
-    ok = mismatches == 0
-    return CriterionResult(
-        4, "q^2 Lambda(1_A,..) = brute-force count, exhaustive + random A",
-        ok, f"{cells} sets, mismatches {mismatches}", dt)
+    return mismatches == 0, f"{cells} sets, mismatches {mismatches}"
 
 
 # --------------------------------------------------------------------------
@@ -213,8 +215,9 @@ def _spec_41_check(q: int) -> float:
     return worst
 
 
-def criterion_5() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(5, "rewrite identities, 100 random cases + U^2-step specialization",
+            60)
+def criterion_5():
     rng = SplitMix64(derive_seed(MASTER_SEED, 5))
     p_pool = [["y", "2y"], ["y", "y^2"], ["y", "y^2", "y^3"], ["y^2"],
               ["2y", "y^2+y"]]
@@ -247,19 +250,15 @@ def criterion_5() -> CriterionResult:
             cases += 1
     spec_worst = max(_spec_41_check(7), _spec_41_check(11))
     worst = max(worst, spec_worst)
-    dt = time.perf_counter() - t0
-    ok = worst <= 1e-10 and dt < 60.0
-    return CriterionResult(
-        5, "rewrite identities, 100 random cases + U^2-step specialization",
-        ok, f"max abs diff {worst:.2e}", dt)
+    return worst <= 1e-10, f"max abs diff {worst:.2e}"
 
 
 # --------------------------------------------------------------------------
 # criterion 6: iterated Cauchy-Schwarz projection inequality
 # --------------------------------------------------------------------------
 
-def criterion_6() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(6, "Cauchy-Schwarz bound, 50 instances m=2 s=3, exact at s=2", 300)
+def criterion_6():
     rng = SplitMix64(derive_seed(MASTER_SEED, 6))
     fails = 0
     worst = 0.0
@@ -276,20 +275,17 @@ def criterion_6() -> CriterionResult:
     fs2 = [_random_two_var(F, rng) for _ in range(3)]
     chk2 = check_cs_inequality(fs2, 2)
     exact2 = abs(chk2.lhs - chk2.rhs) <= 1e-12
-    dt = time.perf_counter() - t0
-    ok = fails == 0 and exact2 and dt < 300.0
-    return CriterionResult(
-        6, "Cauchy-Schwarz bound, 50 instances m=2 s=3, exact at s=2",
-        ok, f"violations {fails}, worst excess {worst:.2e}, "
-            f"s=2 gap {abs(chk2.lhs - chk2.rhs):.2e}", dt)
+    return (fails == 0 and exact2,
+            f"violations {fails}, worst excess {worst:.2e}, "
+            f"s=2 gap {abs(chk2.lhs - chk2.rhs):.2e}")
 
 
 # --------------------------------------------------------------------------
 # criterion 7: empirical error shape |A|^(3/2) p^(2/5) for (y, y^2)
 # --------------------------------------------------------------------------
 
-def criterion_7() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(7, "error shape for (y, y^2): |q^2 err| <= 10 |A|^1.5 p^0.4", 600)
+def criterion_7():
     system = progression_system(["y", "y^2"])
     primes = _primes(31, 499)
     cells = 0
@@ -310,21 +306,17 @@ def criterion_7() -> CriterionResult:
     xs = np.log([p for p in primes if max_err[p] > 0])
     ys = np.log([max_err[p] for p in primes if max_err[p] > 0])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    frac = within / cells
-    dt = time.perf_counter() - t0
-    ok = frac >= 0.99 and slope < 2.0 and dt < 600.0
-    return CriterionResult(
-        7, "error shape for (y, y^2): |q^2 err| <= 10 |A|^1.5 p^0.4",
-        ok, f"{within}/{cells} cells within, fitted exponent {slope:.3f}",
-        dt)
+    return (within / cells >= 0.99 and slope < 2.0,
+            f"{within}/{cells} cells within, fitted exponent {slope:.3f}")
 
 
 # --------------------------------------------------------------------------
 # criterion 8: exact-rational negativity of the five exponent families
 # --------------------------------------------------------------------------
 
-def criterion_8() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(8, "five exponent families negative, s in 2..8, dyadic beta/gamma",
+            5)
+def criterion_8():
     failures = 0
     grids = 0
     dyadics = [Fraction(1, 2 ** j) for j in range(6, -1, -1)]
@@ -338,13 +330,9 @@ def criterion_8() -> CriterionResult:
     cons = u2_step_constraints(Fraction(1, 8), Fraction(1, 256),
                                Fraction(1, 128), Fraction(1, 16))
     cons_ok = all(cons.values())
-    dt = time.perf_counter() - t0
-    ok = failures == 0 and cons_ok and dt < 5.0
-    return CriterionResult(
-        8, "five exponent families negative, s in 2..8, dyadic beta/gamma",
-        ok, f"{grids} parameter points, failures {failures}, "
-            f"worked example constraints {'ok' if cons_ok else 'VIOLATED'}",
-        dt)
+    return (failures == 0 and cons_ok,
+            f"{grids} parameter points, failures {failures}, "
+            f"worked example constraints {'ok' if cons_ok else 'VIOLATED'}")
 
 
 # --------------------------------------------------------------------------
@@ -362,8 +350,9 @@ def _dual_pairs(fa, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.sum(ghat ** 4, axis=1) ** 0.25)
 
 
-def criterion_9() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(9, "threshold decomposition certified >= 90% with sound dual bound",
+            300)
+def criterion_9():
     q = 101
     F = make_field(q)
     bud = budget_from_schedule(delta_schedule(2, 1, 0.5), 2)
@@ -386,13 +375,9 @@ def criterion_9() -> CriterionResult:
             lhs, u2 = _dual_pairs(res.fa, gs)
             rhs = res.certificates.dual_bound * u2
             pair_violations += int(np.count_nonzero(lhs > rhs + 1e-9))
-    dt = time.perf_counter() - t0
-    ok = certified >= 45 and pair_violations == 0 and dt < 300.0
-    return CriterionResult(
-        9, "threshold decomposition certified >= 90% with sound dual bound",
-        ok, f"certified {certified}/50, "
-            f"adversarial violations {pair_violations}/1000x{certified}",
-        dt)
+    return (certified >= 45 and pair_violations == 0,
+            f"certified {certified}/50, "
+            f"adversarial violations {pair_violations}/1000x{certified}")
 
 
 # --------------------------------------------------------------------------
@@ -425,8 +410,8 @@ def _oracle_r(p: int, coeff_lists) -> int:
     return best
 
 
-def criterion_10() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(10, "r_exact equals 2^q oracle, witnesses progression-free", 600)
+def criterion_10():
     cases = [(["y"], [[0, 1]]),
              (["y", "2y"], [[0, 1], [0, 2]]),
              (["y", "y^2"], [[0, 1], [0, 0, 1]]),
@@ -448,12 +433,9 @@ def criterion_10() -> CriterionResult:
                 if count_progressions(system, list(res.witness),
                                       y_rule="nonzero", field=F) != 0:
                     bad_witness += 1
-    dt = time.perf_counter() - t0
-    ok = mismatches == 0 and bad_witness == 0 and dt < 600.0
-    return CriterionResult(
-        10, "r_exact equals 2^q oracle, witnesses progression-free",
-        ok, f"{cells} cells, mismatches {mismatches}, "
-            f"bad witnesses {bad_witness}", dt)
+    return (mismatches == 0 and bad_witness == 0,
+            f"{cells} cells, mismatches {mismatches}, "
+            f"bad witnesses {bad_witness}")
 
 
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -58,7 +58,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .counting import (_base_case_system, _main_term, _weil_sweep,
+from .counting import (_base_case_system, _first_y, _main_term, _weil_sweep,
                        _weil_verdict, base_case_report, count_progressions,
                        lambda_average)
 from .decomposition import (budget, budget_from_schedule,
@@ -162,6 +162,15 @@ def _read(flag: str, value: str, convert):
         raise FFProgError(f"bad {flag} value {value!r}") from None
 
 
+def _count(text: str) -> int:
+    """The argparse type of --trials, --iters and --node-budget: an int,
+    refused below 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _ints(flag: str, value: str) -> list[int]:
     """A comma list of integers."""
     return _read(flag, value, lambda v: [int(t) for t in v.split(",")])
@@ -241,7 +250,7 @@ def _cmd_count(args, seed: int, ledger: Ledger) -> int:
     n = len(A)
     count = count_progressions(system, A, y_rule=args.y_rule, field=field)
     q = field.q
-    ys = q if args.y_rule == "all" else q - 1
+    ys = q - _first_y(args.y_rule)
     main = q * ys * _main_term(field, [n / q] * (system.m1 + 1))
     err = count - main
     bc_ratio = abs(err) / (n ** 1.5 * q ** 0.4) if n else 0.0
@@ -552,7 +561,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--qs", default=None, help="comma list of twist polys")
     sp.add_argument("--psi", default=None,
                     help="comma list of twist character indices, mod q")
-    sp.add_argument("--trials", type=int, default=5)
+    sp.add_argument("--trials", type=_count, default=5)
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--quiet-warnings", action="store_true")
     _add_common(sp)
@@ -568,9 +577,9 @@ def build_parser() -> _Parser:
                     choices=("paper_literal", "distinct_points", "both"),
                     default="both")
     sp.add_argument("--method", choices=("exact", "random"), default="exact")
-    sp.add_argument("--iters", type=int, default=200,
+    sp.add_argument("--iters", type=_count, default=200,
                     help="random-method greedy passes")
-    sp.add_argument("--node-budget", type=int, default=10_000_000)
+    sp.add_argument("--node-budget", type=_count, default=10_000_000)
     sp.add_argument("--csv", default=None)
     _add_common(sp)
     sp.set_defaults(func=_cmd_extremal)
@@ -612,7 +621,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--m", type=int, default=2)
     sp.add_argument("--s", type=int, default=3)
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--trials", type=_count, default=10)
     _add_common(sp)
     sp.set_defaults(func=_cmd_cs_check)
 
@@ -624,7 +633,7 @@ def build_parser() -> _Parser:
                     help="comma list of twist character indices, mod q")
     sp.add_argument("--pmin", type=int, default=31)
     sp.add_argument("--pmax", type=int, default=199)
-    sp.add_argument("--trials", type=int, default=5)
+    sp.add_argument("--trials", type=_count, default=5)
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--allow-below-threshold", action="store_true")
     _add_common(sp)

@@ -23,6 +23,10 @@ pure-integer count oracle and direct double-loop averages audit both.
 The expected main term for an untwisted average of indicators is
 (|A|/q)^(m1+1), i.e. counts of order |A|^(m1+1) / q^(m1-1).
 
+_poly_rows gives P(y) for every y as coefficient rows, which index the
+all-translates view directly (both routes, and build_hypergraph), and
+_first_y the first y of a y-rule, for every module that counts over y.
+
 Exact identities connect twisted and plain averages; twist_rewrite_check
 evaluates both sides of each.  Writing psi for additive characters, the
 splitting psi(u + v) = psi(u) psi(v) gives the absorption identities:
@@ -92,19 +96,28 @@ from .polys import IntPoly, ProgressionSystem, int_poly, progression_system
 # evaluation tables
 # --------------------------------------------------------------------------
 
-def _eval_indices(field: FieldSpec, coeffs) -> np.ndarray:
-    """Index of P(y) for every y in enumeration order (Horner on coefficient
-    rows); P's coefficients are ints or field elements, constant first."""
+def _poly_rows(field: FieldSpec, coeffs) -> np.ndarray:
+    """Coefficient row of P(y) for every y in enumeration order, a (q, k)
+    array (Horner on coefficient rows); P's coefficients are ints or field
+    elements, constant first."""
     y = field._coeff_matrix()
     acc = np.zeros_like(y)
     for c in reversed(coeffs):
         acc = (field._mul_rows(acc, y) + field.element(c).coeffs) % field.p
-    return acc @ field._place_values()
+    return acc
 
 
 def poly_index_table(poly: IntPoly, field: FieldSpec) -> np.ndarray:
     """Index of P(y) for every y in enumeration order (int64)."""
-    return _eval_indices(field, poly.coeffs)
+    return _poly_rows(field, poly.coeffs) @ field._place_values()
+
+
+def _first_y(y_rule: str) -> int:
+    """The first y index a y-rule counts: 0 for 'all', 1 for 'nonzero'
+    (y = 0 comes first); any other rule raises InvalidRange."""
+    if y_rule not in ("all", "nonzero"):
+        raise InvalidRange(f"y_rule must be 'all' or 'nonzero', got {y_rule!r}")
+    return int(y_rule == "nonzero")
 
 
 _PACK_WORDS = 1 << 14  # uint64 words gathered per block of y (128 KiB)
@@ -122,8 +135,7 @@ def _y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
 
 def _view_y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
     """S(y) for any values: one product of translated views per y."""
-    coords = [field._coeff_matrix()[poly_index_table(poly, field)].tolist()
-              for poly in P]
+    coords = [_poly_rows(field, poly.coeffs).tolist() for poly in P]
     f0 = F_values[0].reshape((field.p,) * field.k)
     views = [_translates(field, fv) for fv in F_values[1:]]
     sums = np.empty(field.q, dtype=np.result_type(*F_values))
@@ -166,8 +178,7 @@ def _packed_y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
     row, col = divmod(np.arange(q), p)
     offsets = (row * shifts + col % 64) * span + col // 64
     firsts = _translates(field, offsets)[..., 0]
-    coords = [field._coeff_matrix()[poly_index_table(poly, field)].T
-              for poly in P]
+    coords = [_poly_rows(field, poly.coeffs).T for poly in P]
     step = max(1, _PACK_WORDS // (rows * width))
     sums = np.empty(q, dtype=np.int64)
     for start in range(0, q, step):
@@ -253,12 +264,11 @@ def count_progressions(system: ProgressionSystem, A, y_rule: str = "all",
     """
     if system.m2:
         raise TwistedSystem("integer counting is for untwisted systems")
-    if y_rule not in ("all", "nonzero"):
-        raise InvalidRange(f"y_rule must be 'all' or 'nonzero', got {y_rule!r}")
+    first = _first_y(y_rule)
     field = _resolve_field(A, field)
     ind = _indicator_values(field, A, np.int64)
     sums = _y_sums(field, system.P, [ind] * (system.m1 + 1))
-    return int(sums[1 if y_rule == "nonzero" else 0:].sum())
+    return int(sums[first:].sum())
 
 
 @dataclass(frozen=True)
@@ -455,7 +465,8 @@ def weil_sum(field: FieldSpec, polys, coefficients) -> WeilSum:
     for a, poly in zip(coeffs, polys):
         for i, c in enumerate(poly.coeffs):
             combined[i] = combined[i] + a * field.element(c)
-    traces = field.trace_vector()[_eval_indices(field, combined)]
+    traces = field.trace_vector()[_poly_rows(field, combined)
+                                  @ field._place_values()]
     value = complex(field.omega_powers()[traces].mean())
     degree, bound, within = _weil_verdict(field, combined, value)
     if degree < 1:

@@ -16,13 +16,14 @@ P_i(y) = P_j(y) or P_i(y) = 0 at small characteristic):
 * distinct_points: only full-size edges (m+1 distinct points) are kept.
 
 build_hypergraph gathers every configuration at once: one fancy index per
-polynomial into the all-translates view of field._translates gives the
-points x + P_i(y) for every admissible y and every x.  Each row is sorted
-and its repeated points dropped by an adjacent-difference mask; the rows
-with d distinct points are then deduplicated through an exact int64 key
-(the row read as a base-q number, whose order is the rows' lexicographic
-order) or, when q^d >= 2^63, by lexsort.  The hypergraph keeps those
-vertex-set arrays beside its edges, and the invariance checks behind the
+polynomial (its rows from counting._poly_rows) into the all-translates
+view of field._translates gives the points x + P_i(y) for every admissible
+y and every x.  Each row is sorted and its repeated points dropped by an
+adjacent-difference mask; the rows with d distinct points are then
+deduplicated through an exact int64 key (the row read as a base-q number,
+whose order is the rows' lexicographic order) or, when q^d >= 2^63, by
+lexsort.  Those vertex-set arrays are the edge store the search reads: the
+closing tables are filled from them, and the invariance checks behind the
 symmetry breaks map them through a vertex permutation and compare the
 sorted, deduplicated result.
 
@@ -78,7 +79,7 @@ from itertools import chain
 
 import numpy as np
 
-from .counting import poly_index_table
+from .counting import _first_y, _poly_rows
 from .errors import InsufficientData, InvalidRange, TwistedSystem
 from .field import FieldElement, FieldSpec, _primitive_element, _translates
 from .polys import ProgressionSystem
@@ -94,7 +95,7 @@ class ProgressionHypergraph:
     build_hypergraph gives its edges as sorted tuples, shortest first and
     in lexicographic order within a length.  _cache keeps the edges'
     vertex-set arrays (_vertex_sets), which build_hypergraph fills as it
-    goes; it takes no part in equality.
+    goes and the search reads; it takes no part in equality.
     """
 
     field: FieldSpec
@@ -170,18 +171,16 @@ def build_hypergraph(system: ProgressionSystem, field: FieldSpec,
     """Edges {x} U {x + P_i(y)} over admissible y, deduplicated as sets."""
     if system.m2:
         raise TwistedSystem("hypergraphs are built from untwisted systems")
-    if y_rule not in ("all", "nonzero"):
-        raise InvalidRange(f"y_rule must be 'all' or 'nonzero', got {y_rule!r}")
+    start = _first_y(y_rule)
     if degeneracy not in ("paper_literal", "distinct_points"):
         raise InvalidRange(f"unknown degeneracy policy {degeneracy!r}")
     q = field.q
-    start = 1 if y_rule == "nonzero" else 0
     index = np.arange(q, dtype=np.int64)
     to = _translates(field, index)   # to[c_e]: x -> index of x + e
     points = [np.broadcast_to(index, (q - start, q))]
     for poly in system.P:
         # row y: x -> index of x + P(y), for every admissible y at once
-        e = field._coeff_matrix()[poly_index_table(poly, field)[start:]]
+        e = _poly_rows(field, poly.coeffs)[start:]
         points.append(to[tuple(e.T)].reshape(q - start, q))
     full_size = system.m1 + 1
     sets = _point_sets(np.stack(points, axis=-1).reshape(-1, full_size), q)
@@ -233,47 +232,50 @@ def _closing_tables(hg: ProgressionHypergraph):
     holds the w with rest empty (2-point edges); pair[v][u] holds the w
     with rest = {u} (3-point edges); wide[v][u] lists (rest, w-bit) for
     |rest| >= 2, keyed by u, the lowest vertex of rest, and is None when no
-    edge has four points.  Edges are sized by their distinct vertices, and
-    one-vertex edges make that vertex unusable instead; an edge through an
+    edge has four points.  The edges are read as hg's vertex sets: a
+    one-vertex set makes its vertex unusable instead, and a set through an
     unusable vertex can never be completed and is left out.
     """
     q = hg.q
     _check_bitset(q)
     bit = [1 << v for v in range(q)]
-    dead = {e[0] for e in hg.edges if len(set(e)) == 1}
+    sets = hg._vertex_sets()
+    dead = sets[1][:, 0].tolist() if 1 in sets else []
+    alive = np.ones(q, dtype=bool)
+    alive[dead] = False
     static = [0] * q
     pair = [[0] * q for _ in range(q)]
     wide = None
-    for e in hg.edges:
-        e = set(e)
-        if len(e) < 2 or not dead.isdisjoint(e):
-            continue
-        if len(e) == 3:
-            a, b, c = e
-            pa, pb, pc = pair[a], pair[b], pair[c]
-            pa[b] |= bit[c]
-            pa[c] |= bit[b]
-            pb[a] |= bit[c]
-            pb[c] |= bit[a]
-            pc[a] |= bit[b]
-            pc[b] |= bit[a]
-        elif len(e) == 2:
-            a, b = e
-            static[a] |= bit[b]
-            static[b] |= bit[a]
-        else:
+    for d, rows in sets.items():
+        if dead:   # a copy, so only when needed; drops the one-vertex sets too
+            rows = rows[alive[rows].all(axis=1)]
+        if d == 2:
+            for a, b in _as_tuples(rows):
+                static[a] |= bit[b]
+                static[b] |= bit[a]
+        elif d == 3:
+            for a, b, c in _as_tuples(rows):
+                pa, pb, pc = pair[a], pair[b], pair[c]
+                pa[b] |= bit[c]
+                pa[c] |= bit[b]
+                pb[a] |= bit[c]
+                pb[c] |= bit[a]
+                pc[a] |= bit[b]
+                pc[b] |= bit[a]
+        elif len(rows):
             if wide is None:
                 wide = [[()] * q for _ in range(q)]
-            m = _mask(e)
-            for v in e:
-                row = wide[v]
-                for w in e:
-                    if w != v:
-                        rest = m ^ bit[v] ^ bit[w]
-                        u = (rest & -rest).bit_length() - 1
-                        if not row[u]:
-                            row[u] = []
-                        row[u].append((rest, bit[w]))
+            for e in _as_tuples(rows):
+                m = _mask(e)
+                for v in e:
+                    row = wide[v]
+                    for w in e:
+                        if w != v:
+                            rest = m ^ bit[v] ^ bit[w]
+                            u = (rest & -rest).bit_length() - 1
+                            if not row[u]:
+                                row[u] = []
+                            row[u].append((rest, bit[w]))
     usable = ((1 << q) - 1) & ~_mask(dead)
     return (static, pair, wide), usable
 
@@ -381,27 +383,20 @@ def r_exact(hg: ProgressionHypergraph,
             node_budget: int = 10_000_000) -> ExtremalResult:
     """Exact maximum independent set by branch and bound (deterministic).
 
-    When the edge set is translation-invariant (every hypergraph that
-    build_hypergraph returns is) and vertex 0 is usable, some optimum
-    contains 0: the search includes 0 at the root and never explores the
-    branch without it, so the witness then contains vertex 0.  When the
-    edge set is also invariant under x -> a x (linear systems such as
-    (y, 2y)), an optimum through 0 can be dilated to contain any vertex v
-    that can join 0, so the search includes the lowest such v as well.
-    `fixed` reports how many vertices were fixed this way (0, 1 or 2).
-    Any other hypergraph gets the full search.  The search runs on an
-    explicit stack (no recursion), visiting nodes in include-first
-    depth-first order; the first optimum in that order lies under the
-    fixed vertices, so on a completed search fixing them changes the node
-    count only.
+    The symmetry breaks of the module docstring fix vertex 0 and, under
+    dilations, the lowest vertex that can join it at the root; `fixed`
+    reports how many (0, 1 or 2).  The witness is the one the full search
+    finds, so it then contains vertex 0.
 
     Runs to completion within node_budget (exact = True, r_upper = r) or
     stops at the first node over it and returns the best set found so far
     (exact = False, nodes_explored = node_budget + 1) with r_upper, the
     largest of r and size + |candidates| over the stopped frame and every
-    frame left on the stack, so that r <= r(hg) <= r_upper; never raises
-    for budget.
+    frame left on the stack, so that r <= r(hg) <= r_upper; running out of
+    budget never raises, but a budget below 0 raises InvalidRange.
     """
+    if node_budget < 0:
+        raise InvalidRange(f"node_budget must be >= 0, got {node_budget}")
     q = hg.q
     t0 = time.perf_counter()
     tables, usable = _closing_tables(hg)

@@ -813,6 +813,26 @@ def test_density_outside_unit_interval_is_one_line_error(tmp_path, capsys,
     assert err == [err[0]] and "density must lie in [0, 1]" in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["extremal", "--p", "7", "--polys", "y,2y", "--node-budget", "-1"],
+    ["extremal", "--p", "7", "--polys", "y,2y", "--method", "random",
+     "--iters", "-1"],
+    ["base-scan", "--p1", "y", "--pmin", "31", "--pmax", "31",
+     "--trials", "-3"],
+    ["cs-check", "--p", "5", "--m", "1", "--s", "2", "--trials", "-1"],
+    ["verify-theorem", "--polys", "y,y^2", "--pmin", "31", "--pmax", "31",
+     "--trials", "-3"],
+], ids=["node-budget", "iters", "base-scan", "cs-check", "verify-theorem"])
+def test_negative_counts_are_refused(tmp_path, capsys, argv):
+    out = tmp_path / "x.jsonl"
+    rc = main(argv + ["--out", str(out)])
+    flag, value = argv[-2:]
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"ffprog {argv[0]}: error: argument {flag}: must be >= 0, got {value}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("p1,qs", [("y + 1", "y^2"), ("y", "y^2 + 2")])
 def test_base_scan_refuses_a_nonzero_constant_term(tmp_path, capsys, p1, qs):
     rc = main(["base-scan", "--p1", p1, "--qs", qs, "--psi", "1",

@@ -25,8 +25,8 @@ from ffprog.field import character_eval, is_prime, make_field
 from ffprog.functions import (balanced_indicator, character_function,
                               dense_function, indicator, random_one_bounded)
 from ffprog.counting import (BaseCaseReport, LambdaResult, WeilSum,
-                             _packed_y_sums, _view_y_sums, _weil_sweep,
-                             _y_sums, additive_monomial_sums,
+                             _packed_y_sums, _poly_rows, _view_y_sums,
+                             _weil_sweep, _y_sums, additive_monomial_sums,
                              base_case_report,
                              count_progressions, lambda_average,
                              main_term_error, poly_index_table,
@@ -135,7 +135,8 @@ def test_count_field_inference_and_errors():
         count_progressions(sys, {1, 2}, "all", field=F7)
     with pytest.raises(EmptyInput):
         count_progressions(sys, {1, 2}, "all")  # bare ints: no field to infer
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidRange,
+                       match="^y_rule must be 'all' or 'nonzero', got 'some'$"):
         count_progressions(sys, A, "some")
     with pytest.raises(TwistedSystem):
         count_progressions(progression_system(["y"], ["y^2"]), A, "all")
@@ -580,8 +581,12 @@ def test_poly_index_table_matches_eval():
     for field in (make_field(7), make_field(3, 2), make_field(2, 6),
                   make_field(5, 3)):
         tbl = poly_index_table(poly, field)
+        rows = _poly_rows(field, poly.coeffs)
+        assert rows.shape == (field.q, field.k)
         for y in field.elements():
-            assert tbl[y.index] == reduce_and_eval(poly, field, y).index
+            want = reduce_and_eval(poly, field, y)
+            assert tbl[y.index] == want.index
+            assert tuple(rows[y.index].tolist()) == want.coeffs
 
 
 def test_count_above_the_table_cap_matches_element_brute_force():

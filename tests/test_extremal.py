@@ -81,6 +81,49 @@ def incidence(hg):
     return edges_of, ((1 << hg.q) - 1) & ~singles
 
 
+def incidence_tables(hg):
+    """The closing tables by their definition, read off incidence(hg).
+
+    (static, pair, wide, usable) as table_contents gives them: for each
+    distinct edge through v that misses every unusable vertex, and each
+    other w in it, w goes to the tier of rest = edge - {v, w}.
+    """
+    edges_of, usable = incidence(hg)
+    q = hg.q
+    static = [0] * q
+    pair = [[0] * q for _ in range(q)]
+    wide = [[[] for _ in range(q)] for _ in range(q)]
+    for v in range(q):
+        for e in set(edges_of[v]):
+            if e & ~usable:
+                continue
+            for w in range(q):
+                if w == v or not e >> w & 1:
+                    continue
+                rest = e & ~(1 << v) & ~(1 << w)
+                low = (rest & -rest).bit_length() - 1
+                if rest == 0:
+                    static[v] |= 1 << w
+                elif rest == 1 << low:
+                    pair[v][low] |= 1 << w
+                else:
+                    wide[v][low].append((rest, 1 << w))
+    if not any(any(row) for row in wide):
+        wide = None
+    else:
+        wide = [[sorted(entries) for entries in row] for row in wide]
+    return static, pair, wide, usable
+
+
+def table_contents(hg):
+    """_closing_tables(hg) with each wide entry list sorted (its order is
+    not part of the tables' meaning)."""
+    (static, pair, wide), usable = _closing_tables(hg)
+    if wide is not None:
+        wide = [[sorted(entries) for entries in row] for row in wide]
+    return static, pair, wide, usable
+
+
 def scan_greedy(order, edges_of, usable):
     """Greedy by the definition: skip v if some edge of v lacks only v."""
     cur = 0
@@ -237,7 +280,8 @@ def test_hypergraph_validation():
     with pytest.raises(TwistedSystem):
         build_hypergraph(progression_system(["y"], ["y^2"]), field)
     sys = progression_system(["y"])
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidRange,
+                       match="^y_rule must be 'all' or 'nonzero', got 'some'$"):
         build_hypergraph(sys, field, y_rule="some")
     with pytest.raises(InvalidRange):
         build_hypergraph(sys, field, degeneracy="lenient")
@@ -304,6 +348,10 @@ def test_r_exact_node_budget_degrades_gracefully():
     assert not tiny.exact
     assert 0 <= tiny.r <= full.r
     assert len(tiny.witness) == tiny.r  # still returns its best attempt
+    zero = r_exact(hg, node_budget=0)
+    assert (zero.nodes_explored, zero.exact) == (1, False)
+    with pytest.raises(InvalidRange, match="node_budget must be >= 0, got -1"):
+        r_exact(hg, node_budget=-1)
     if tiny.r:
         assert count_progressions(progression_system(["y", "2y"]),
                                   list(tiny.witness), "nonzero") == 0
@@ -482,6 +530,8 @@ def test_build_matches_the_per_y_loop(p, k, polys, policy, y_rule):
     kept, read = hg._vertex_sets(), fresh._vertex_sets()
     assert kept.keys() == read.keys()
     assert all(np.array_equal(kept[d], read[d]) for d in kept)
+    # the search's tables, from the kept sets and from the edges alone
+    assert table_contents(hg) == table_contents(fresh) == incidence_tables(hg)
 
 
 @pytest.mark.parametrize("policy", ["paper_literal", "distinct_points"])
@@ -512,11 +562,16 @@ def test_closing_tables_match_edge_scan(p, k, polys, policy, relabel):
     (((3, 3), (0, 1, 2)), 3),
     (((1, 3, 3), (0, 2)), 3),       # two 2-point edges
     (((0, 1, 1, 2), (2, 3, 4, 4)), 4),
+    # unusable 2 also inside 2-, 3- and 4-point edges, which drop out
+    (((2,), (0, 2), (1, 2, 3), (0, 2, 3, 4), (0, 1, 3)), 3),
+    (((2, 2, 2), (4, 0, 2), (1, 2, 2), (0, 1, 2, 3), (0, 1, 3, 4),
+      (1, 3, 4, 4), (0, 1, 3, 4)), 3),
 ])
 def test_repeated_vertex_edges_are_sized_by_distinct_vertices(edges, r):
     hg = ProgressionHypergraph(make_field(5), edges, "nonzero",
                                "paper_literal")
     assert sweep_r(5, edges) == r
+    assert table_contents(hg) == incidence_tables(hg)
     for budget in BUDGETS:
         assert search_outcome(r_exact(hg, node_budget=budget)) == \
             scan_r_exact(hg, budget)
