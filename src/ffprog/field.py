@@ -15,20 +15,26 @@ enumeration order; psi_0 is the trivial character.
 
 Array model.  Two cached facts serve every k alike: the q x k coefficient
 matrix C in enumeration order, and the k x k trace form
-T[i, j] = Tr(t^(i+j)), so that Tr(a x) = c_a T c_x mod p by linearity.
-The trace vector is (C T[0]) mod p, the character matrix is
-omega[(C T mod p) C^T mod p], and polynomials are evaluated on all of C at
-once by Horner with a row-wise product reduced by the modulus.
+T[i, j] = Tr(t^(i+j)), so that Tr(a x) = b_a . c_x mod p by linearity,
+with the frequency rows b_a = c_a T mod p cached once (_freq).  One
+exponent kernel, _trace_rows, turns rows b_a into Tr(a x) for every x:
+k broadcast multiply-adds, in int32 whenever k (p - 1)^2 < 2^31 and in
+int64 above that, reduced by floor division (v -= (v // p) p), which
+numpy vectorises where it does not vectorise `%`.  The trace vector
+(kept int64), character_function's single row and the character matrix
+all read it, and _fft_perm reads _freq.  Polynomials are evaluated on
+all of C at once by Horner with a row-wise product reduced by the
+modulus.
 Translation has one home, _translates: it views a value array on (p,)*k,
 one axis per coefficient, wraps those axes out to 2p - 1 entries once and
 returns every translate x -> f(x + e) as one window view, indexed by e's
 coefficient vector.  Shifts, differencing, the naive U^s levels, both
 progression-sum routes and the hypergraph all read it.
 
-The Fourier transform needs no q x q table: psi_a(x) = omega^(c_a T c_x)
+The Fourier transform needs no q x q table: psi_a(x) = omega^(b_a . c_x)
 makes fhat a k-dimensional DFT of the values on (p,)*k read at the grid
-point (c_a T) mod p, and _fft_perm caches that point's flat index for
-every a (T is invertible, so it is a permutation).
+point b_a, and _fft_perm caches that point's flat index for every a
+(T is invertible, so it is a permutation).
 
 Everything here is exact integer arithmetic; floating point enters only in
 the character values themselves.  The q x q tables (addition table,
@@ -36,10 +42,13 @@ character matrix) are built lazily, cached on the field object and refused
 (BudgetExceeded, before allocating) when their q^2 entries exceed
 errors.BUDGET, i.e. above q = 4096; no library path above small q reads
 either.  The character matrix is the oracle the spectral routes are tested
-against, and is built in row blocks so that no q x q index array is ever
-held.  No library code reads the addition table or neg_perm: tests check
-them against FieldElement arithmetic, and the benchmark's tracer wraps
-both methods by name.
+against.  Under the budget k (p - 1)^2 < 2^31, so its exponents are
+always int32, and each block of rows is gathered from omega unbuffered,
+straight into the table (see character_matrix): the build holds the table
+and one block's exponents, never a q x q exponent array.  No library code
+reads the addition table or neg_perm: tests check them against
+FieldElement arithmetic, and the benchmark's tracer wraps both methods by
+name.
 
 Errors raised here: NotPrime, ReducibleModulus, DegreeMismatch,
 DivisionByZero, FieldMismatch, InvalidRange, BudgetExceeded.
@@ -338,11 +347,30 @@ class FieldSpec:
             self._cache["form"] = traces[i[:, None] + i[None, :]]
         return self._cache["form"]
 
+    def _freq(self) -> np.ndarray:
+        """Frequency rows b_a = c_a T mod p, one per a, so Tr(a x) = b_a . c_x."""
+        if "freq" not in self._cache:
+            self._cache["freq"] = self._coeff_matrix() @ self._trace_form() % self.p
+        return self._cache["freq"]
+
     def _trace_rows(self, index) -> np.ndarray:
-        """Tr(a x) for the elements a at index (a list or slice) and every x."""
-        a = self._coeff_matrix()[index]
-        out = (a @ self._trace_form()) % self.p @ self._coeff_matrix().T
-        out %= self.p
+        """Tr(a x) for the elements a at index (a list or slice) and every x.
+
+        The one exponent kernel: k broadcast multiply-adds b_a[i] c_x[i],
+        in int32 whenever their sum k (p - 1)^2 fits (always, for a table
+        under errors.BUDGET), else int64, reduced by v -= (v // p) p, since
+        numpy vectorises floor division by a scalar and not `%`.
+        """
+        p, k = self.p, self.k
+        dtype = np.int32 if k * (p - 1) ** 2 < 1 << 31 else np.int64
+        b = self._freq()[index].astype(dtype)
+        cols = self._coeff_matrix().T.astype(dtype)
+        out = b[:, :1] * cols[0]
+        for i in range(1, k):
+            out += b[:, i:i + 1] * cols[i]
+        quot = out // p
+        quot *= p
+        out -= quot
         return out
 
     def _mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -356,7 +384,8 @@ class FieldSpec:
     def trace_vector(self) -> np.ndarray:
         """Tr(e) for every element e in enumeration order (int64)."""
         if "trace" not in self._cache:
-            self._cache["trace"] = self._trace_rows([self.one.index])[0]
+            self._cache["trace"] = self._trace_rows(
+                [self.one.index])[0].astype(np.int64)
         return self._cache["trace"]
 
     def omega_powers(self) -> np.ndarray:
@@ -386,19 +415,24 @@ class FieldSpec:
     def _fft_perm(self) -> np.ndarray:
         """Flat index in the (p,)*k DFT grid of the frequency of psi_a, per a.
 
-        psi_a(x) = omega^(b . c_x) with b = c_a T mod p, so fhat(a) is the
-        DFT of the values on (p,)*k at b, whose C-order index this holds.
+        psi_a(x) = omega^(b_a . c_x) with b_a the cached frequency row
+        (_freq, the same rows the exponent kernel _trace_rows reads), so
+        fhat(a) is the DFT of the values on (p,)*k at b_a, whose C-order
+        index this holds.
         """
         if "fft_perm" not in self._cache:
-            freq = self._coeff_matrix() @ self._trace_form() % self.p
-            self._cache["fft_perm"] = freq @ self._place_values()
+            self._cache["fft_perm"] = self._freq() @ self._place_values()
         return self._cache["fft_perm"]
 
     def character_matrix(self) -> np.ndarray:
         """q x q complex matrix CHI[a, x] = psi_a(x) = e_p(Tr(a x)).
 
-        Built _CHI_BLOCK rows at a time, so the trace indices it gathers
-        from never exist as one q x q array.
+        Built _CHI_BLOCK rows at a time: _trace_rows gives a block's
+        exponents (int32, already in [0, p)) and np.take gathers omega at
+        them straight into the table.  mode="clip" lets take write to its
+        out slice unbuffered (the default mode="raise" copies through a
+        buffer), and clips nothing since every index is in range.  No
+        q x q exponent array is ever held.
         """
         if "chi" not in self._cache:
             q = self.q
@@ -407,7 +441,7 @@ class FieldSpec:
             for start in range(0, q, _CHI_BLOCK):
                 block = slice(start, min(start + _CHI_BLOCK, q))
                 np.take(self.omega_powers(), self._trace_rows(block),
-                        out=chi[block])
+                        out=chi[block], mode="clip")
             self._cache["chi"] = chi
         return self._cache["chi"]
 

@@ -25,6 +25,7 @@ from ffprog.field import (_MR_EXACT_BELOW, _TRIAL_DIVISORS, FieldSpec,
                           _primitive_element, _translates,
                           character_eval, enumerate_elements, field_arith,
                           is_prime, make_field, trace)
+from ffprog.functions import character_function
 from ffprog.rng import SplitMix64
 
 FIELDS = [make_field(2), make_field(7), make_field(2, 3), make_field(3, 2),
@@ -345,10 +346,74 @@ def test_tables_build_at_the_budget_and_are_refused_one_under(monkeypatch):
 
 
 def test_character_matrix_still_builds_at_q_4001():
-    # the largest prime-sweep field; the benchmark's spike reads a row
-    chi = make_field(4001).character_matrix()
-    assert chi.shape == (4001, 4001)
-    assert chi[1, 1] == pytest.approx(np.exp(2j * np.pi / 4001), abs=1e-12)
+    # the largest prime-sweep field; the benchmark's spike reads a row.
+    # Rows either side of the 256-row block seams and the last block, against
+    # an int64 oracle that shares nothing with the int32 kernel but omega
+    p = 4001
+    F = make_field(p)
+    chi = F.character_matrix()
+    assert chi.shape == (p, p)
+    omega, x = F.omega_powers(), np.arange(p, dtype=np.int64)
+    for a in (0, 1, 255, 256, 257, 3839, 3840, 4000):
+        assert np.array_equal(chi[a], omega[(a * x) % p]), a
+
+
+@pytest.mark.parametrize("p,k,rows", [
+    (2, 9, (1, 255, 256, 511)),
+    (61, 2, (255, 256, 3584, 3720)),
+    (3, 7, (255, 256, 2048, 2186)),
+])
+def test_character_matrix_block_seams_match_character_eval(p, k, rows):
+    # each side of the first block seam, then the last block's ends
+    F = make_field(p, k)
+    chi, els = F.character_matrix(), F.elements()
+    for a in rows:
+        want = [character_eval(F, els[a], x) for x in els]
+        assert np.max(np.abs(chi[a] - want)) < 1e-12, a
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (101, 1), (2, 6), (11, 2), (5, 3),
+                                 (3, 4), (2, 9), (13, 3)])
+def test_fft_perm_is_the_frequency_index_of_every_character(p, k):
+    F = make_field(p, k)
+    C, T = F._coeff_matrix(), F._trace_form()
+    want = C @ T % p @ F._place_values()   # frequency c_a T mod p, flattened
+    assert np.array_equal(F._fft_perm(), want)
+    assert sorted(F._fft_perm()) == list(range(F.q))
+
+
+@pytest.mark.parametrize("p,a", [(65537, 65536), (65537, 12345),
+                                 (46337, 46336)])
+def test_exponent_kernel_switches_to_int64_before_int32_overflows(p, a):
+    # (p - 1)^2 = 2^32 at p = 65537 must run in int64; 46337 is the largest
+    # prime with (p - 1)^2 < 2^31, so its top row is the int32 edge
+    F = make_field(p)
+    row = F._trace_rows([a])[0]
+    wide = (p - 1) ** 2 >= 1 << 31
+    assert row.dtype == (np.int64 if wide else np.int32)
+    want = [(a * x) % p for x in range(p)]
+    assert row.tolist() == want
+    psi = character_function(F, a).values
+    assert np.array_equal(psi, F.omega_powers()[want])
+
+
+def test_trace_vector_stays_int64():
+    for F in (make_field(3, 2), make_field(101)):
+        tv = F.trace_vector()
+        assert tv.dtype == np.int64
+        assert tv.tolist() == [trace(F, x) for x in F.elements()]
+
+
+def test_character_matrix_holds_no_q_by_q_exponent_array():
+    q = 4001
+    F = make_field(q)
+    tracemalloc.start()
+    try:
+        F.character_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q * q * 16 + (16 << 20)  # the table plus one block's work
 
 
 # -- primality and factoring -------------------------------------------------
