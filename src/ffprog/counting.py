@@ -24,8 +24,16 @@ The expected main term for an untwisted average of indicators is
 (|A|/q)^(m1+1), i.e. counts of order |A|^(m1+1) / q^(m1-1).
 
 _poly_rows gives P(y) for every y as coefficient rows, which index the
-all-translates view directly (both routes, and build_hypergraph), and
-_first_y the first y of a y-rule, for every module that counts over y.
+all-translates view directly, and _first_y the first y of a y-rule, for
+every module that counts over y.  A count reuses its field's facts: both
+routes and build_hypergraph read the rows through _system_rows, which
+keeps the rows of the last system counted, read-only, in the field's
+_cache, and the packed route's field-only layout (_packed_layout) is
+kept there too.  So count_progressions, main_term_error and
+build_hypergraph on one field evaluate each polynomial once.  The cache
+is bounded by what it is keyed on: one system's rows and one layout per
+field; weil_sum's combined polynomials and the twists' Q_j are
+evaluated afresh and never enter it.
 
 Exact identities connect twisted and plain averages; twist_rewrite_check
 evaluates both sides of each.  Writing psi for additive characters, the
@@ -98,13 +106,40 @@ from .polys import IntPoly, ProgressionSystem, int_poly, progression_system
 
 def _poly_rows(field: FieldSpec, coeffs) -> np.ndarray:
     """Coefficient row of P(y) for every y in enumeration order, a (q, k)
-    array (Horner on coefficient rows); P's coefficients are ints or field
-    elements, constant first."""
+    array (Horner on coefficient rows, one _mul_rows per degree); P's
+    coefficients are ints or field elements, constant first.  Evaluated
+    afresh on every call: the rows a count reads come from _system_rows."""
     y = field._coeff_matrix()
     acc = np.zeros_like(y)
-    for c in reversed(coeffs):
-        acc = (field._mul_rows(acc, y) + field.element(c).coeffs) % field.p
+    for i, c in enumerate(reversed(coeffs)):
+        if i:
+            acc = field._mul_rows(acc, y)
+        acc = (acc + field.element(c).coeffs) % field.p
     return acc
+
+
+def _system_rows(field: FieldSpec, polys) -> list[np.ndarray]:
+    """_poly_rows of each coefficient sequence in polys, read-only, cached
+    on the field.
+
+    The field's _cache holds the rows of one system, keyed by each
+    polynomial's coefficients as field.element reduces them (so ints and
+    field elements of one value share a key).  A system with a polynomial
+    not among them replaces them, keeping the rows the two share, so the
+    cache holds one system's rows at most and needs no size limit.
+    Only the systems being counted enter it; weil_sum's combined
+    polynomials go through _poly_rows and are never cached.
+    """
+    keys = [tuple(field.element(c).coeffs for c in coeffs) for coeffs in polys]
+    rows = field._cache.get("rows", {})
+    if not rows.keys() >= set(keys):
+        rows = {key: rows.get(key) for key in keys}
+        for key, value in rows.items():
+            if value is None:
+                rows[key] = value = _poly_rows(field, key)
+                value.flags.writeable = False
+        field._cache["rows"] = rows
+    return [rows[key] for key in keys]
 
 
 def poly_index_table(poly: IntPoly, field: FieldSpec) -> np.ndarray:
@@ -127,7 +162,8 @@ def _y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
     """S(y) = sum_x f_0(x) prod_i f_i(x + P_i(y)) for every y, F_values
     f_0 first, in their dtype: bit-packed when every value is 0 or 1,
     else by the per-y view loop."""
-    if all(np.all((v == 0) | (v == 1)) for v in F_values):
+    distinct = {id(v): v for v in F_values}.values()
+    if all(np.all((v == 0) | (v == 1)) for v in distinct):
         sums = _packed_y_sums(field, P, F_values)
         return sums.astype(np.result_type(*F_values), copy=False)
     return _view_y_sums(field, P, F_values)
@@ -135,7 +171,8 @@ def _y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
 
 def _view_y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
     """S(y) for any values: one product of translated views per y."""
-    coords = [_poly_rows(field, poly.coeffs).tolist() for poly in P]
+    coords = [e.tolist() for e in
+              _system_rows(field, [poly.coeffs for poly in P])]
     f0 = F_values[0].reshape((field.p,) * field.k)
     views = [_translates(field, fv) for fv in F_values[1:]]
     sums = np.empty(field.q, dtype=np.result_type(*F_values))
@@ -147,6 +184,26 @@ def _view_y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
     return sums
 
 
+def _packed_layout(field: FieldSpec) -> tuple:
+    """The packed route's field-only layout, built once per field and kept
+    read-only in its _cache (O(q) entries): shifts (packings per slot),
+    span (words per packed row), cyclic (the column of each bit of a row's
+    cyclic extension) and firsts (the flat word offset of the row window
+    that starts at x + e, for the first x of every row and every e)."""
+    if "packed" not in field._cache:
+        p, q = field.p, field.q
+        shifts, span = min(64, p), (p - 1) // 64 + -(-p // 64)
+        cyclic = np.arange(64 * span + shifts - 1) % p
+        cyclic.flags.writeable = False
+        # flat word offset of the row window that starts at each element;
+        # firsts is its translate by e, read for all e at once
+        row, col = divmod(np.arange(q), p)
+        offsets = (row * shifts + col % 64) * span + col // 64
+        firsts = _translates(field, offsets)[..., 0]
+        field._cache["packed"] = shifts, span, cyclic, firsts
+    return field._cache["packed"]
+
+
 def _packed_y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
     """S(y) as int64 for 0/1 values: AND and popcount of packed rows.
 
@@ -156,29 +213,29 @@ def _packed_y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
     slot, min(64, p) packings hold every row's cyclic extension shifted by
     s bits, so the rotated row is the W = ceil(p/64) words of packing c % 64
     from word c // 64 on; f_0, packed once with zeros past bit p, masks the
-    wrap.  y runs in blocks of about _PACK_WORDS gathered words.
+    wrap.  Each distinct slot array (by identity, so a count's repeated
+    indicator) is packed once per call.  y runs in blocks of about
+    _PACK_WORDS gathered words.  The P(y) rows (_system_rows) and the
+    field-only layout (_packed_layout) come from the field's cache.
     """
     p, q = field.p, field.q
     rows, width = q // p, -(-p // 64)
-    shifts, span = min(64, p), (p - 1) // 64 + width
-    bits = [(v == 1).reshape(rows, p) for v in F_values]
+    shifts, span, cyclic, firsts = _packed_layout(field)
     head = np.zeros((rows, 64 * width), dtype=bool)
-    head[:, :p] = bits[0]
+    head[:, :p] = (F_values[0] == 1).reshape(rows, p)
     f0 = np.packbits(head, axis=-1, bitorder="little").view(np.uint64)
-    cyclic = np.arange(64 * span + shifts - 1) % p
-    windows = []
-    for b in bits[1:]:  # packed[row, s] holds row's bits from column s on
-        ext = sliding_window_view(b[:, cyclic], 64 * span, axis=-1)[:, :shifts]
-        packed = np.packbits(np.ascontiguousarray(ext), axis=-1,
-                             bitorder="little").view(np.uint64)
-        windows.append(sliding_window_view(packed.ravel(), width))
-    # flat word offset of the row window that starts at each element; the
-    # offsets of x + e for the first x of every row (last coefficient 0)
-    # are then the translate of offsets by e, read for all e at once
-    row, col = divmod(np.arange(q), p)
-    offsets = (row * shifts + col % 64) * span + col // 64
-    firsts = _translates(field, offsets)[..., 0]
-    coords = [_poly_rows(field, poly.coeffs).T for poly in P]
+    windows_of = {}
+    for v in F_values[1:]:
+        if id(v) not in windows_of:
+            bits = (v == 1).reshape(rows, p)
+            ext = sliding_window_view(bits[:, cyclic], 64 * span,
+                                      axis=-1)[:, :shifts]
+            # words[row, s] holds row's bits from column s on
+            words = np.packbits(np.ascontiguousarray(ext), axis=-1,
+                                bitorder="little").view(np.uint64)
+            windows_of[id(v)] = sliding_window_view(words.ravel(), width)
+    windows = [windows_of[id(v)] for v in F_values[1:]]
+    coords = [e.T for e in _system_rows(field, [poly.coeffs for poly in P])]
     step = max(1, _PACK_WORDS // (rows * width))
     sums = np.empty(q, dtype=np.int64)
     for start in range(0, q, step):

@@ -16,7 +16,7 @@ P_i(y) = P_j(y) or P_i(y) = 0 at small characteristic):
 * distinct_points: only full-size edges (m+1 distinct points) are kept.
 
 build_hypergraph gathers every configuration at once: one fancy index per
-polynomial (its rows from counting._poly_rows) into the all-translates
+polynomial (its rows from counting._system_rows) into the all-translates
 view of field._translates gives the points x + P_i(y) for every admissible
 y and every x.  Each row is sorted and its repeated points dropped by an
 adjacent-difference mask; the rows with d distinct points are then
@@ -79,7 +79,7 @@ from itertools import chain
 
 import numpy as np
 
-from .counting import _first_y, _poly_rows
+from .counting import _first_y, _system_rows
 from .errors import InsufficientData, InvalidRange, TwistedSystem
 from .field import FieldElement, FieldSpec, _primitive_element, _translates
 from .polys import ProgressionSystem
@@ -178,10 +178,9 @@ def build_hypergraph(system: ProgressionSystem, field: FieldSpec,
     index = np.arange(q, dtype=np.int64)
     to = _translates(field, index)   # to[c_e]: x -> index of x + e
     points = [np.broadcast_to(index, (q - start, q))]
-    for poly in system.P:
+    for e in _system_rows(field, [poly.coeffs for poly in system.P]):
         # row y: x -> index of x + P(y), for every admissible y at once
-        e = _poly_rows(field, poly.coeffs)[start:]
-        points.append(to[tuple(e.T)].reshape(q - start, q))
+        points.append(to[tuple(e[start:].T)].reshape(q - start, q))
     full_size = system.m1 + 1
     sets = _point_sets(np.stack(points, axis=-1).reshape(-1, full_size), q)
     if degeneracy == "distinct_points":
@@ -326,11 +325,10 @@ def _greedy_mask(order, tables, usable: int) -> int:
 
 
 def _witness(field: FieldSpec, mask: int) -> tuple[FieldElement, ...]:
-    els = field.elements()
     out = []
     while mask:
         v = (mask & -mask).bit_length() - 1
-        out.append(els[v])
+        out.append(field.element_at(v))
         mask &= mask - 1
     return tuple(out)
 

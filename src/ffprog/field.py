@@ -48,7 +48,9 @@ straight into the table (see character_matrix): the build holds the table
 and one block's exponents, never a q x q exponent array.  No library code
 reads the addition table or neg_perm: tests check them against
 FieldElement arithmetic, and the benchmark's tracer wraps both methods by
-name.
+name.  The cache holds arrays and tuples of ints, never FieldElements:
+those point back to the field, and the cycle would keep a dropped field
+and its tables alive until the cyclic garbage collector ran.
 
 Errors raised here: NotPrime, ReducibleModulus, DegreeMismatch,
 DivisionByZero, FieldMismatch, InvalidRange, BudgetExceeded.
@@ -302,11 +304,10 @@ class FieldSpec:
         return FieldElement(self, tuple(coeffs))
 
     def elements(self) -> tuple["FieldElement", ...]:
-        if "elements" not in self._cache:
-            self._cache["elements"] = tuple(
-                FieldElement(self, c) for c in product(range(self.p), repeat=self.k)
-            )
-        return self._cache["elements"]
+        """Every element in enumeration order, built afresh on each call
+        (not cached: see the module docstring)."""
+        return tuple(FieldElement(self, c)
+                     for c in product(range(self.p), repeat=self.k))
 
     # -- internal reduction --------------------------------------------------
 
@@ -539,7 +540,7 @@ def _primitive_element(field: FieldSpec) -> FieldElement:
     """The first element, in enumeration order, that generates F_q^*: the
     g with g^((q - 1) / r) != 1 for every prime r dividing q - 1."""
     exponents = [(field.q - 1) // r for r in _prime_factors(field.q - 1)]
-    return next(g for g in field.elements()[1:]
+    return next(g for g in map(field.element_at, range(1, field.q))
                 if all(g ** e != field.one for e in exponents))
 
 

@@ -131,21 +131,25 @@ def _indicator_values(field: FieldSpec, subset, dtype=np.complex128) -> np.ndarr
     """1_A as a length-q array of dtype (ints embed as constants).
 
     An int c is the constant (c mod p), at index (c mod p) * p^(k-1); the
-    ints are reduced in Python (big ones too) and placed in one scatter.
+    ints are reduced in Python (big ones too).  Field elements and
+    coefficient sequences give their coefficient rows, which one product
+    with the place values turns into indices.  Ints and rows are scattered
+    once each.
     """
-    ints, indices = [], []
+    ints, coeffs = [], []
     for item in subset:
         if isinstance(item, (int, np.integer)):
             ints.append(int(item) % field.p)
         elif isinstance(item, FieldElement):
-            if item.field != field:
+            if item.field is not field and item.field != field:
                 raise ElementOutOfField(f"{item} not in {field}")
-            indices.append(item.index)
+            coeffs.append(item.coeffs)
         else:
-            indices.append(field.element(item).index)
+            coeffs.append(field.element(item).coeffs)
     v = np.zeros(field.q, dtype=dtype)
     v[np.array(ints, dtype=np.int64) * field.p ** (field.k - 1)] = 1
-    v[np.array(indices, dtype=np.int64)] = 1
+    rows = np.array(coeffs, dtype=np.int64).reshape(-1, field.k)
+    v[rows @ field._place_values()] = 1
     return v
 
 

@@ -193,13 +193,18 @@ class SplitMix64:
 
     def unit_disk_block(self, n: int) -> np.ndarray:
         """n unit_disk() samples as a complex128 array, in draw order."""
-        parts = [np.empty(0, dtype=np.complex128)]
+        parts = []
         need = n
         while need > 0:
             # a pair is kept with probability pi/4, so one chunk nearly
             # always suffices
             pairs = min(need + need // 2 + 16, _DISK_CHUNK)
-            xy = 2.0 * _floats(_outputs(self.state, 2 * pairs)) - 1.0
+            u = _outputs(self.state, 2 * pairs)
+            u >>= _U11
+            # 2 random() - 1 is (u64 >> 11) 2^-52 - 1 exactly, since
+            # scaling by a power of two is exact
+            xy = u * 2.0 ** -52
+            xy -= 1.0
             re, im = xy[0::2], xy[1::2]
             kept = np.flatnonzero(re * re + im * im <= 1.0)[:need]
             used = int(kept[-1]) + 1 if len(kept) == need else pairs
@@ -207,7 +212,9 @@ class SplitMix64:
             # (re, im) pairs side by side are complex128 values
             parts.append(xy.view(np.complex128)[kept])
             need -= len(kept)
-        return np.concatenate(parts)
+        if len(parts) == 1:  # one chunk sufficed: nothing to join
+            return parts[0]
+        return np.concatenate([np.empty(0, dtype=np.complex128), *parts])
 
     def subset(self, n: int, density: float) -> list[int]:
         """Indices i in [0, n) kept independently with the given density."""

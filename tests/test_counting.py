@@ -11,7 +11,9 @@ on random inputs.  The kernel's bit-packed route for 0/1 inputs is
 compared bit for bit with its per-y view loop.
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -21,11 +23,13 @@ from ffprog.errors import (ArityMismatch, CharacteristicWarning,
                            ElementOutOfField, EmptyInput, FieldMismatch,
                            IndexOutOfRange, InvalidRange, NonzeroConstantTerm,
                            NotPrime, TwistedSystem, ZeroPolynomial)
-from ffprog.field import character_eval, is_prime, make_field
+from ffprog.extremal import build_hypergraph
+from ffprog.field import FieldSpec, character_eval, is_prime, make_field
 from ffprog.functions import (balanced_indicator, character_function,
                               dense_function, indicator, random_one_bounded)
 from ffprog.counting import (BaseCaseReport, LambdaResult, WeilSum,
-                             _packed_y_sums, _poly_rows, _view_y_sums,
+                             _packed_y_sums, _poly_rows, _system_rows,
+                             _view_y_sums,
                              _weil_sweep, _y_sums, additive_monomial_sums,
                              base_case_report,
                              count_progressions, lambda_average,
@@ -608,3 +612,98 @@ def test_count_above_the_table_cap_matches_element_brute_force():
     assert count_progressions(system, A, field=F) == want
     scaled = main_term_error(system, A, field=F).scaled_count
     assert abs(scaled - want) < 1e-6
+
+
+# -- per-field caches ---------------------------------------------------------------------
+
+CACHE_FIELDS = [(31, 1), (2, 6), (3, 4), (11, 2)]
+
+
+@pytest.mark.parametrize("p,k", CACHE_FIELDS,
+                         ids=[f"{p}^{k}" for p, k in CACHE_FIELDS])
+def test_system_rows_are_read_only_horner_rows(p, k):
+    field = make_field(p, k)
+    polys = [parse_poly(s).coeffs for s in ("y", "y^2", "2y^3 + y", "y^2 + 5")]
+    as_elements = [[field.element(c) for c in cs] for cs in polys]
+    for P in (polys, as_elements):
+        for cs, rows in zip(polys, _system_rows(field, P)):
+            assert np.array_equal(rows, _poly_rows(field, cs))
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1
+    # ints and elements of one value share one cache entry
+    cached = _system_rows(field, polys)
+    assert all(a is b for a, b in zip(cached, _system_rows(field, as_elements)))
+
+
+@pytest.mark.parametrize("p,k", CACHE_FIELDS,
+                         ids=[f"{p}^{k}" for p, k in CACHE_FIELDS])
+def test_packed_averages_of_different_indicators_equal_the_view_loop(p, k,
+                                                                     monkeypatch):
+    # the packed route packs each distinct slot array once: three different
+    # indicators, and orders repeating one of them, must not share packings
+    field = make_field(p, k)
+    rng = SplitMix64(2200 + p + k)
+    f0, f1, f2 = (indicator(field, [field.element_at(i)
+                                    for i in rng.subset(field.q, d)])
+                  for d in (0.6, 0.5, 0.4))
+    sys = progression_system(["y", "y^2"])
+    orders = ([f0, f1, f2], [f2, f0, f1], [f0, f1, f1], [f1, f0, f1],
+              [f2, f2, f2])
+
+    def averages():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CharacteristicWarning)
+            return [lambda_average(sys, F) for F in orders]
+    packed = averages()
+    monkeypatch.setattr("ffprog.counting._y_sums", _view_y_sums)
+    assert averages() == packed  # ==, not approximately
+
+
+def test_a_count_evaluates_each_polynomial_once_per_field(monkeypatch):
+    field = make_field(5, 3)
+    calls = []
+    real = FieldSpec._mul_rows
+
+    def counted(self, a, b):
+        calls.append(self)
+        return real(self, a, b)
+    monkeypatch.setattr(FieldSpec, "_mul_rows", counted)
+    sys = progression_system(["y", "y^2"])
+    A = [field.element_at(i) for i in SplitMix64(8).subset(field.q, 0.5)]
+    count_progressions(sys, A, field=field)
+    once = sum(poly.degree for poly in sys.P)  # Horner: one product a degree
+    assert len(calls) == once
+    main_term_error(sys, A, field=field)
+    build_hypergraph(sys, field)
+    assert len(calls) == once
+
+
+def test_weil_sums_leave_the_field_cache_as_it_is():
+    field = make_field(101)
+    count_progressions(progression_system(["y", "y^2"]), range(0, 101, 3),
+                       field=field)
+    polys = [parse_poly("y^2"), parse_poly("y^3")]
+    weil_sum(field, polys, [1, 1])
+    size, rows = len(field._cache), field._cache["rows"]
+    for n in range(500):  # 500 distinct combinations
+        weil_sum(field, polys, [1 + n // 5, n % 5])
+    assert len(field._cache) == size and field._cache["rows"] is rows
+
+
+def test_a_field_dropped_after_counting_is_freed_at_once():
+    # the per-field caches hold coefficient tuples and arrays, never
+    # elements, which would point back to the field in a cycle
+    gc.disable()
+    try:
+        field = make_field(11, 2)
+        sys = progression_system(["y", "y^2"])
+        A = [field.element_at(i) for i in range(0, field.q, 3)]
+        count_progressions(sys, A, field=field)
+        main_term_error(sys, A, field=field)
+        build_hypergraph(sys, field)
+        alive = weakref.ref(field)
+        del field, A
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -8,9 +8,11 @@ tables are frozen: they are part of the cross-implementation contract
 experiment downstream).
 """
 
+import gc
 import math
 import time
 import tracemalloc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -311,6 +313,23 @@ def test_fieldspec_equality_ignores_caches():
     F2 = make_field(5, 2)
     assert F1 == F2
     assert isinstance(F1, FieldSpec)
+
+
+def test_a_dropped_field_is_freed_without_the_cyclic_collector():
+    # elements point back to their field, so the field holds none of them:
+    # a field dropped after elements() and a table goes at once, table and
+    # all, without waiting for the cyclic garbage collector
+    gc.disable()
+    try:
+        F = make_field(7, 2)
+        F.character_matrix()
+        assert len(F.elements()) == F.q and F.elements()[5] == F.element_at(5)
+        _primitive_element(F)
+        alive = weakref.ref(F)
+        del F
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("table,name", [

@@ -15,7 +15,8 @@ from ffprog.errors import (BudgetConditionWarning, DegreeMismatch,
                            ShapeMismatch)
 from ffprog.field import FieldSpec, character_eval, make_field
 from ffprog.functions import (_FFT_ABOVE, _fft_forward, _fft_inverse,
-                              _forward_rows, _inverse_rows, _table_forward,
+                              _forward_rows, _indicator_values,
+                              _inverse_rows, _table_forward,
                               _table_inverse, balanced_indicator,
                               character_function,
                               constant_function, delta_first_var, delta_multi,
@@ -137,6 +138,30 @@ def test_indicator_member_kinds(field, kind):
     if kind not in ("element", "coefficients"):
         assert want[[(int(c) % field.p) * field.p ** (field.k - 1)
                      for c in A]].all()
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (2, 6), (11, 2)])
+def test_indicator_values_equal_a_per_element_oracle(p, k):
+    # members of every kind mixed in one set: elements (of the field and of
+    # an equal copy of it), coefficient tuples and lists, Python, numpy and
+    # big ints; the oracle places them one at a time with field.element
+    field, copy = make_field(p, k), make_field(p, k)
+    rng = SplitMix64(4200 + p + k)
+    A = []
+    for i in rng.subset(field.q, 0.4):
+        e = field.element_at(i)
+        A.append((e, copy.element_at(i), e.coeffs, list(e.coeffs))[i % 4])
+    A += [3, -1, np.int64(-p - 2), np.uint64(2 ** 63 + 5), 2 ** 80 + 1]
+    want = np.zeros(field.q, dtype=np.int64)
+    for item in A:
+        want[field.element(item).index] = 1
+    got = _indicator_values(field, A, np.int64)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(_indicator_values(field, []), np.zeros(field.q))
+    foreign = make_field(5 if p != 5 else 7, k).element_at(1)
+    for bad in ([foreign] + A, A + [foreign]):
+        with pytest.raises(ElementOutOfField):
+            _indicator_values(field, bad)
 
 
 def test_constant_and_character_functions():

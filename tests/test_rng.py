@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffprog import rng as rng_module
 from ffprog.errors import InvalidRange
@@ -169,6 +169,8 @@ LENGTHS = st.integers(0, 300)
 
 @settings(max_examples=150, deadline=None)
 @given(seed=SEEDS, n=LENGTHS, density=st.floats(0.0, 1.0))
+@example(seed=0, n=0, density=0.5)
+@example(seed=2 ** 64 - 1, n=0, density=0.0)
 def test_block_draws_equal_the_scalar_oracle(seed, n, density):
     gen, ref = SplitMix64(seed), ScalarOracle(seed)
     with warnings.catch_warnings():
@@ -188,6 +190,26 @@ def test_block_draws_equal_the_scalar_oracle(seed, n, density):
     assert type(gen.state) is int
     # a scalar draw after the blocks continues the same stream
     assert gen.next_u64() == ref.u64()
+    assert gen.unit_disk() == ref.disk()
+
+
+@pytest.mark.parametrize("seed", [5, 2 ** 64 - 3])
+def test_unit_disk_block_over_several_full_chunks(seed, monkeypatch):
+    # 2 * _DISK_CHUNK samples need three chunks of _DISK_CHUNK pairs (each
+    # keeps about pi/4 of them): the draws and the final state still match
+    # the scalar stream, and so does the draw after them
+    calls, real = [], rng_module._outputs
+
+    def outputs(state, n):
+        calls.append(n)
+        return real(state, n)
+    monkeypatch.setattr(rng_module, "_outputs", outputs)
+    n = 2 * rng_module._DISK_CHUNK
+    gen, ref = SplitMix64(seed), ScalarOracle(seed)
+    got = gen.unit_disk_block(n)
+    assert len(calls) >= 3 and got.dtype == np.complex128
+    assert got.tolist() == [ref.disk() for _ in range(n)]
+    assert gen.state == ref.state
     assert gen.unit_disk() == ref.disk()
 
 
