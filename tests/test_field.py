@@ -18,16 +18,18 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ffprog import errors
+from ffprog import errors, field as field_module
 from ffprog.errors import (BudgetExceeded, DegreeMismatch, DivisionByZero,
                            FieldMismatch, InvalidRange, NotPrime,
                            ReducibleModulus)
-from ffprog.field import (_MR_EXACT_BELOW, _TRIAL_DIVISORS, FieldSpec,
-                          _is_irreducible, _prime_factors,
+from ffprog.extremal import build_hypergraph, r_exact
+from ffprog.field import (_CHI_LOG_ABOVE, _MR_EXACT_BELOW, _TRIAL_DIVISORS,
+                          FieldSpec, _is_irreducible, _prime_factors,
                           _primitive_element, _translates,
                           character_eval, enumerate_elements, field_arith,
                           is_prime, make_field, trace)
 from ffprog.functions import character_function
+from ffprog.polys import progression_system
 from ffprog.rng import SplitMix64
 
 FIELDS = [make_field(2), make_field(7), make_field(2, 3), make_field(3, 2),
@@ -332,6 +334,35 @@ def test_a_dropped_field_is_freed_without_the_cyclic_collector():
         gc.enable()
 
 
+def _table_by_logs():
+    F = make_field(1009)   # above _CHI_LOG_ABOVE
+    F.character_matrix()
+    return F
+
+
+def _dilation_checked():
+    F = make_field(13)   # (y, 2y) is dilation invariant
+    assert r_exact(build_hypergraph(progression_system(["y", "2y"]),
+                                    F)).fixed == 2
+    return F
+
+
+@pytest.mark.parametrize("use", [_table_by_logs, _dilation_checked],
+                         ids=lambda use: use.__name__.strip("_"))
+def test_a_field_dropped_after_reading_its_generator_is_freed(use):
+    # the cached generator is an index, not an element pointing back to the
+    # field, so these fields too go at once, without the cyclic collector
+    gc.disable()
+    try:
+        F = use()
+        assert "generator" in F._cache
+        alive = weakref.ref(F)
+        del F
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("table,name", [
     ("character_matrix", "character matrix"),
     ("add_index_table", "addition table"),
@@ -365,15 +396,17 @@ def test_tables_build_at_the_budget_and_are_refused_one_under(monkeypatch):
 
 
 def test_character_matrix_still_builds_at_q_4001():
-    # the largest prime-sweep field; the benchmark's spike reads a row.
-    # Rows either side of the 256-row block seams and the last block, against
-    # an int64 oracle that shares nothing with the int32 kernel but omega
+    # the largest prime-sweep field, built by logs; the benchmark's spike
+    # reads a row.  Row 0 is set apart; rows 1 = g^0 and g^-1 = g^(q-2)
+    # gather from the two ends of W.  Against an int64 oracle that shares
+    # nothing with the build but omega
     p = 4001
     F = make_field(p)
     chi = F.character_matrix()
     assert chi.shape == (p, p)
     omega, x = F.omega_powers(), np.arange(p, dtype=np.int64)
-    for a in (0, 1, 255, 256, 257, 3839, 3840, 4000):
+    g = _primitive_element(F)
+    for a in (0, 1, 2, g.index, g.inverse().index, 2000, 4000):
         assert np.array_equal(chi[a], omega[(a * x) % p]), a
 
 
@@ -383,9 +416,13 @@ def test_character_matrix_still_builds_at_q_4001():
     (3, 7, (255, 256, 2048, 2186)),
 ])
 def test_character_matrix_block_seams_match_character_eval(p, k, rows):
-    # each side of the first block seam, then the last block's ends
+    # each side of the first block seam, then the last block's ends.  The
+    # block kernel is called directly: above _CHI_LOG_ABOVE (q = 3721 and
+    # 2187) character_matrix builds by logs, but these fields give the
+    # kernel up to 14 seams
     F = make_field(p, k)
-    chi, els = F.character_matrix(), F.elements()
+    chi, els = np.empty((F.q, F.q), dtype=np.complex128), F.elements()
+    F._chi_by_blocks(chi)
     for a in rows:
         want = [character_eval(F, els[a], x) for x in els]
         assert np.max(np.abs(chi[a] - want)) < 1e-12, a
@@ -424,15 +461,70 @@ def test_trace_vector_stays_int64():
 
 
 def test_character_matrix_holds_no_q_by_q_exponent_array():
-    q = 4001
-    F = make_field(q)
-    tracemalloc.start()
-    try:
-        F.character_matrix()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < q * q * 16 + (16 << 20)  # the table plus one block's work
+    # beyond the table, the block build (q = 997) holds one block's int32
+    # exponents and their quotient, about 2 MiB, where a q x q exponent
+    # array and its quotient would take 7.6 MiB.  The log build (q = 4001)
+    # holds O(q) vectors; the block build there would hold 11.7 MiB
+    for q, work in ((997, 4 << 20), (4001, 1 << 20)):
+        F = make_field(q)
+        tracemalloc.start()
+        try:
+            F.character_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < q * q * 16 + work, q
+
+
+def _chi_oracle_equal(F, chi):
+    # omega at the exponent kernel's Tr(a x), a block of rows at a time,
+    # compared as int64 views so that equal means bit-identical
+    omega, q = F.omega_powers(), F.q
+    return all(np.array_equal(
+        chi[s:s + 256].view(np.int64),
+        omega[F._trace_rows(slice(s, min(s + 256, q)))].view(np.int64))
+        for s in range(0, q, 256))
+
+
+@pytest.mark.parametrize("p,k", [
+    (2, 1), (3, 1), (31, 1), (2, 3), (3, 2),            # q - 1 = 1 at GF(2)
+    (1009, 1), (4001, 1), (2, 10), (2, 11), (3, 7), (61, 2),
+])
+def test_log_build_is_bit_identical_to_the_exponent_kernel(p, k):
+    # psi_(g^i)(g^j) = W[(i + j) mod (q - 1)], called directly on either
+    # side of the crossover; GF(2^10) has q - 1 = 3 * 11 * 31
+    F = make_field(p, k)
+    q = F.q
+    chi = np.empty((q, q), dtype=np.complex128)
+    F._chi_by_logs(chi)
+    one = F.omega_powers()[:1].view(np.int64)   # omega^0, as two int64
+    assert (chi[0].view(np.int64).reshape(q, 2) == one).all()
+    assert (chi[:, :1].copy().view(np.int64) == one).all()
+    last = F.element_at(q - 1)
+    want = F.omega_powers()[[trace(F, last * x) for x in F.elements()]]
+    assert np.array_equal(chi[q - 1].view(np.int64), want.view(np.int64))
+    assert _chi_oracle_equal(F, chi)
+
+
+@pytest.mark.parametrize("p,k,route,other", [
+    (31, 2, "_chi_by_blocks", "_chi_by_logs"),
+    (1009, 1, "_chi_by_logs", "_chi_by_blocks")])
+def test_character_matrix_takes_one_route_each_side_of_the_crossover(
+        monkeypatch, p, k, route, other):
+    # GF(31^2) has q = 961 and GF(1009) q = 1009, either side of 1000; the
+    # table is bit-identical to the other build's
+    called = []
+    for name in ("_chi_by_blocks", "_chi_by_logs"):
+        real = getattr(FieldSpec, name)
+        monkeypatch.setattr(FieldSpec, name, lambda self, chi, real=real,
+                            name=name: called.append(name) or real(self, chi))
+    F = make_field(p, k)
+    assert (F.q > _CHI_LOG_ABOVE) == (route == "_chi_by_logs")
+    chi = F.character_matrix()
+    assert called == [route]
+    want = np.empty_like(chi)
+    getattr(F, other)(want)
+    assert np.array_equal(chi.view(np.int64), want.view(np.int64))
 
 
 # -- primality and factoring -------------------------------------------------
@@ -472,6 +564,26 @@ def test_primitive_element_is_the_first_generator(p, k):
     g = _primitive_element(field)
     assert order(g) == field.q - 1
     assert g.index == 1 + orders.index(field.q - 1)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 3), (5, 2), (1009, 1),
+                                 (4001, 1), (2, 10), (3, 7), (61, 2)])
+def test_primitive_element_is_searched_once_per_field(monkeypatch, p, k):
+    # the uncached search: the first g with g^((q - 1) / r) != 1 for the
+    # primes r | q - 1, from trial division
+    field = make_field(p, k)
+    q = field.q
+    want = next(g for g in field.elements()[1:]
+                if all(g ** ((q - 1) // r) != field.one
+                       for r in trial_division(q - 1)))
+    searches = []
+    real = field_module._prime_factors
+    monkeypatch.setattr(field_module, "_prime_factors",
+                        lambda n: searches.append(n) or real(n))
+    assert _primitive_element(field) == want
+    assert _primitive_element(field) == want
+    assert searches == [q - 1]
+    assert type(field._cache["generator"]) is int
 
 
 def test_prime_factors_of_planted_products():
