@@ -94,7 +94,8 @@ from .errors import (
     InvalidRange,
     TwistedSystem,
 )
-from .field import FieldElement, FieldSpec, _translates, make_field
+from .field import (FieldElement, FieldSpec, _check_translates, _translates,
+                    make_field)
 from .functions import (DenseFunction, _as_element, _indicator_values,
                         character_function, indicator)
 from .polys import IntPoly, ProgressionSystem, int_poly, progression_system
@@ -171,6 +172,7 @@ def _y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
 
 def _view_y_sums(field: FieldSpec, P, F_values) -> np.ndarray:
     """S(y) for any values: one product of translated views per y."""
+    _check_translates(field, np.result_type(*F_values).name)
     coords = [e.tolist() for e in
               _system_rows(field, [poly.coeffs for poly in P])]
     f0 = F_values[0].reshape((field.p,) * field.k)
@@ -191,6 +193,7 @@ def _packed_layout(field: FieldSpec) -> tuple:
     cyclic extension) and firsts (the flat word offset of the row window
     that starts at x + e, for the first x of every row and every e)."""
     if "packed" not in field._cache:
+        _check_translates(field, "int64")
         p, q = field.p, field.q
         shifts, span = min(64, p), (p - 1) // 64 + -(-p // 64)
         cyclic = np.arange(64 * span + shifts - 1) % p

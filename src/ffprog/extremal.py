@@ -18,14 +18,23 @@ P_i(y) = P_j(y) or P_i(y) = 0 at small characteristic):
 build_hypergraph gathers every configuration at once: one fancy index per
 polynomial (its rows from counting._system_rows) into the all-translates
 view of field._translates gives the points x + P_i(y) for every admissible
-y and every x.  Each row is sorted and its repeated points dropped by an
-adjacent-difference mask; the rows with d distinct points are then
+y and every x.  The configurations are worked on as columns (point j of
+every configuration), so each numpy call spans all of them: the columns
+are sorted by a compare-exchange network, repeated points dropped by an
+adjacent-difference mask, and the configurations with d distinct points
 deduplicated through an exact int64 key (the row read as a base-q number,
 whose order is the rows' lexicographic order) or, when q^d >= 2^63, by
-lexsort.  Those vertex-set arrays are the edge store the search reads: the
-closing tables are filled from them, and the invariance checks behind the
-symmetry breaks map them through a vertex permutation and compare the
-sorted, deduplicated result.
+lexsort.  Those vertex-set arrays are the edge store the search reads;
+the edge tuples are zipped from their column lists a block at a time.
+The closing tables of 2- and 3-point edges are filled from them as
+little-endian uint64 words, W = ceil(q / 64) per mask, by one scatter
+per tier (np.add.at: the sets are distinct, so no bit is set twice and
+adding ORs); the scatter runs _TUPLE_ROWS edges at a time, so its index
+arrays stay a block's size, and the words become the masks' Python ints
+in one step.  The invariance checks behind the symmetry breaks map the
+vertex sets through a vertex permutation and compare the sorted keys of
+the result with the sets' own keys (deduplicated rows where
+q^d >= 2^63).
 
 r_exact runs an exact branch-and-bound maximum-independent-set search over
 bitmask sets, on an explicit stack rather than by recursion: vertices are
@@ -75,17 +84,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as _dc_field
-from itertools import chain
+from itertools import chain, permutations
 
 import numpy as np
 
 from .counting import _first_y, _system_rows
 from .errors import InsufficientData, InvalidRange, TwistedSystem
-from .field import FieldElement, FieldSpec, _primitive_element, _translates
+from .field import (FieldElement, FieldSpec, _check_translates,
+                    _primitive_element, _translates)
 from .polys import ProgressionSystem
 from .rng import SplitMix64
 
-_TUPLE_ROWS = 1 << 12   # edge rows turned into tuples per block
+_TUPLE_ROWS = 1 << 12   # edge rows turned into tuples, or scattered, per block
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -123,21 +134,51 @@ class ProgressionHypergraph:
         return self._cache["sets"]
 
 
+def _sorted_columns(cols: np.ndarray) -> np.ndarray:
+    """A (d, n) array with every column sorted, so that out[j] ascends in
+    j: an odd-even transposition network of compare-exchanges on whole
+    rows, each one numpy call over n values (np.sort(axis=0) would sort
+    the n short columns one by one)."""
+    out = list(cols)
+    for r in range(len(out)):
+        for j in range(r % 2, len(out) - 1, 2):
+            out[j], out[j + 1] = (np.minimum(out[j], out[j + 1]),
+                                  np.maximum(out[j], out[j + 1]))
+    return np.stack(out)
+
+
+def _row_keys(rows: np.ndarray, q: int) -> np.ndarray | None:
+    """Each row of a (n, d) array over [0, q) as its exact int64 key
+    sum_j v_j q^(d-1-j), whose order is the rows' lexicographic order, by
+    Horner over the columns; None when q^d >= 2^63 and no key fits."""
+    if q ** rows.shape[1] >= 2 ** 63:
+        return None
+    cols = rows.T
+    keys = cols[0].astype(np.int64)
+    for col in cols[1:]:
+        keys *= q
+        keys += col
+    return keys
+
+
 def _distinct_rows(rows: np.ndarray, q: int) -> np.ndarray:
     """The distinct rows of a (n, d) array over [0, q), ascending in
     lexicographic order.
 
-    While q^d < 2^63 a row is its exact int64 key sum_j v_j q^(d-1-j),
-    whose order is the rows' lexicographic order: the keys are sorted,
-    repeats dropped by an adjacent-difference mask, and the rows decoded.
-    Wider rows take lexsort, about ten times slower.
+    While q^d < 2^63 the keys (_row_keys) are sorted, repeats dropped by
+    an adjacent-difference mask, and the rows decoded column by column
+    into a column-major array.  Wider rows take lexsort, about ten times
+    slower.
     """
-    d = rows.shape[1]
-    if q ** d < 2 ** 63:
-        place = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
-        keys = np.sort(rows @ place)
+    keys = _row_keys(rows, q)
+    if keys is not None:
+        keys.sort()
         keys = keys[np.append(True, keys[1:] != keys[:-1])]
-        return keys[:, None] // place % q
+        cols = np.empty((rows.shape[1], len(keys)), dtype=np.int64)
+        for j in range(len(cols) - 1, 0, -1):
+            keys, cols[j] = np.divmod(keys, q)
+        cols[0] = keys
+        return cols.T
     rows = rows[np.lexsort(rows.T[::-1])]
     return rows[np.append(True, (rows[1:] != rows[:-1]).any(axis=1))]
 
@@ -145,24 +186,38 @@ def _distinct_rows(rows: np.ndarray, q: int) -> np.ndarray:
 def _point_sets(rows: np.ndarray, q: int) -> dict[int, np.ndarray]:
     """Rows of vertex indices read as sets, grouped by size: for each
     count d of distinct vertices, the distinct d-sets as rows sorted
-    within, in ascending lexicographic order (_distinct_rows)."""
-    rows = np.sort(rows, axis=1)
-    new = np.ones(rows.shape, dtype=bool)
-    new[:, 1:] = rows[:, 1:] != rows[:, :-1]   # first of its run of repeats
-    size = new.sum(axis=1)
+    within, in ascending lexicographic order (_distinct_rows).
+
+    The work runs on the columns, so every numpy call spans all rows: the
+    columns are sorted (_sorted_columns), a row's distinct vertices are
+    those that differ from the one before, and a row with repeats writes
+    each vertex to the slot of its rank among them.
+    """
+    cols = _sorted_columns(rows.T)
+    new = cols[1:] != cols[:-1]   # (D - 1, n): vertex j + 1 starts a run
+    size = 1 + new.sum(axis=0)
     out = {}
-    for d in range(1, rows.shape[1] + 1):
+    for d in range(1, len(cols) + 1):
         of_d = size == d
-        if of_d.any():
-            out[d] = _distinct_rows(rows[of_d][new[of_d]].reshape(-1, d), q)
+        if not of_d.any():
+            continue
+        sets = cols.compress(of_d, axis=1)
+        if d < len(cols):
+            rank = np.cumsum(new.compress(of_d, axis=1), axis=0)
+            sets[rank, np.arange(sets.shape[1])] = sets[1:].copy()
+            sets = sets[:d]
+        out[d] = _distinct_rows(sets.T, q)
     return out
 
 
-def _as_tuples(rows: np.ndarray):
-    """The rows as tuples of ints, listed _TUPLE_ROWS rows at a time, so
-    the lists of every row never exist at once beside the tuples."""
+def _as_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows as tuples of ints, zipped from the columns' lists
+    _TUPLE_ROWS rows at a time, so the lists of every row never exist at
+    once beside the tuples."""
+    out = []
     for start in range(0, len(rows), _TUPLE_ROWS):
-        yield from map(tuple, rows[start:start + _TUPLE_ROWS].tolist())
+        out += zip(*rows[start:start + _TUPLE_ROWS].T.tolist())
+    return out
 
 
 def build_hypergraph(system: ProgressionSystem, field: FieldSpec,
@@ -174,6 +229,7 @@ def build_hypergraph(system: ProgressionSystem, field: FieldSpec,
     start = _first_y(y_rule)
     if degeneracy not in ("paper_literal", "distinct_points"):
         raise InvalidRange(f"unknown degeneracy policy {degeneracy!r}")
+    _check_translates(field, "int64")
     q = field.q
     index = np.arange(q, dtype=np.int64)
     to = _translates(field, index)   # to[c_e]: x -> index of x + e
@@ -182,10 +238,11 @@ def build_hypergraph(system: ProgressionSystem, field: FieldSpec,
         # row y: x -> index of x + P(y), for every admissible y at once
         points.append(to[tuple(e[start:].T)].reshape(q - start, q))
     full_size = system.m1 + 1
-    sets = _point_sets(np.stack(points, axis=-1).reshape(-1, full_size), q)
+    sets = _point_sets(np.stack(points).reshape(full_size, -1).T, q)
     if degeneracy == "distinct_points":
         sets = {d: rows for d, rows in sets.items() if d == full_size}
-    edges = tuple(e for d in sorted(sets) for e in _as_tuples(sets[d]))
+    edges = tuple(chain.from_iterable(_as_tuples(sets[d])
+                                      for d in sorted(sets)))
     return ProgressionHypergraph(field, edges, y_rule, degeneracy,
                                  _cache={"sets": sets})
 
@@ -223,6 +280,44 @@ def _check_bitset(q: int) -> None:
         raise InvalidRange(f"bitset search capped at q <= 512, got q = {q}")
 
 
+def _scatter_bits(words: np.ndarray, rows: np.ndarray, q: int) -> None:
+    """Set in words, a zeroed (q,)*(d-1) + (W,) array of little-endian
+    uint64 words, the bit of w at [v, *rest] for every vertex order
+    (v, *rest, w) of each d-row: one scatter per block of _TUPLE_ROWS rows,
+    so its index arrays stay a block's size.
+
+    The rows are distinct sets, so no (v, *rest, w) comes twice and no bit
+    is set twice: adding the bits ORs them, and np.add.at runs several
+    times faster than np.bitwise_or.at."""
+    d, width = rows.shape[1], words.shape[-1]
+    flat = words.reshape(-1)
+    orders = np.array(list(permutations(range(d))))
+    for start in range(0, len(rows), _TUPLE_ROWS):
+        cols = rows[start:start + _TUPLE_ROWS].T[orders]   # (d!, d, n)
+        at = cols[:, 0]
+        for j in range(1, d - 1):
+            at = at * q + cols[:, j]
+        w = cols[:, -1]
+        np.add.at(flat, (at * width + (w >> 6)).ravel(),
+                  _BITS[w & 63].ravel())
+
+
+def _word_ints(words: np.ndarray) -> list:
+    """A (q, W) or (q, q, W) array of little-endian uint64 words as nested
+    lists of Python ints, one int per W words: tolist for one word, else
+    int.from_bytes over slices of the buffer."""
+    q, width = len(words), words.shape[-1]
+    if width == 1:
+        return words[..., 0].tolist()
+    buf = memoryview(words).cast("B")
+    step = 8 * width
+    ints = [int.from_bytes(buf[i:i + step], "little")
+            for i in range(0, len(buf), step)]
+    if words.ndim == 2:
+        return ints
+    return [ints[v * q:(v + 1) * q] for v in range(q)]
+
+
 def _closing_tables(hg: ProgressionHypergraph):
     """The closing tables (static, pair, wide) of hg, and its usable mask.
 
@@ -234,6 +329,12 @@ def _closing_tables(hg: ProgressionHypergraph):
     edge has four points.  The edges are read as hg's vertex sets: a
     one-vertex set makes its vertex unusable instead, and a set through an
     unusable vertex can never be completed and is left out.
+
+    static and pair are filled as arrays of W = ceil(q / 64) little-endian
+    uint64 words per mask, (q, W) and (q, q, W), by one scatter per tier,
+    run _TUPLE_ROWS edges at a time (_scatter_bits); the words then become
+    the masks in one step (_word_ints).  A tier with no edges gets zero
+    masks and no words.  The wide tier is filled edge by edge.
     """
     q = hg.q
     _check_bitset(q)
@@ -242,25 +343,15 @@ def _closing_tables(hg: ProgressionHypergraph):
     dead = sets[1][:, 0].tolist() if 1 in sets else []
     alive = np.ones(q, dtype=bool)
     alive[dead] = False
-    static = [0] * q
-    pair = [[0] * q for _ in range(q)]
+    width = -(-q // 64)
+    words = {}
     wide = None
     for d, rows in sets.items():
         if dead:   # a copy, so only when needed; drops the one-vertex sets too
             rows = rows[alive[rows].all(axis=1)]
-        if d == 2:
-            for a, b in _as_tuples(rows):
-                static[a] |= bit[b]
-                static[b] |= bit[a]
-        elif d == 3:
-            for a, b, c in _as_tuples(rows):
-                pa, pb, pc = pair[a], pair[b], pair[c]
-                pa[b] |= bit[c]
-                pa[c] |= bit[b]
-                pb[a] |= bit[c]
-                pb[c] |= bit[a]
-                pc[a] |= bit[b]
-                pc[b] |= bit[a]
+        if d in (2, 3):
+            words[d] = np.zeros((q,) * (d - 1) + (width,), dtype="<u8")
+            _scatter_bits(words[d], rows, q)
         elif len(rows):
             if wide is None:
                 wide = [[()] * q for _ in range(q)]
@@ -275,6 +366,9 @@ def _closing_tables(hg: ProgressionHypergraph):
                             if not row[u]:
                                 row[u] = []
                             row[u].append((rest, bit[w]))
+    static = _word_ints(words[2]) if 2 in words else [0] * q
+    pair = (_word_ints(words[3]) if 3 in words
+            else [[0] * q for _ in range(q)])
     usable = ((1 << q) - 1) & ~_mask(dead)
     return (static, pair, wide), usable
 
@@ -335,11 +429,23 @@ def _witness(field: FieldSpec, mask: int) -> tuple[FieldElement, ...]:
 
 def _invariant(hg: ProgressionHypergraph, perm: np.ndarray) -> bool:
     """Whether x -> perm[x], a permutation of the vertices, maps the edge
-    set onto itself: the mapped vertex sets of each size, sorted and
-    deduplicated, equal the edges' own."""
-    return all(np.array_equal(
-        _distinct_rows(np.sort(perm[rows], axis=1), hg.q), rows)
-        for rows in hg._vertex_sets().values())
+    set onto itself.  A permutation maps distinct sets to distinct sets,
+    so for each size the sorted keys of the mapped vertex sets must equal
+    the sets' own keys, which ascend already (see _distinct_rows); where
+    q^d >= 2^63 leaves no int64 key the mapped sets are deduplicated and
+    compared as rows."""
+    q = hg.q
+    for rows in hg._vertex_sets().values():
+        mapped = _sorted_columns(perm[rows.T]).T
+        keys = _row_keys(mapped, q)
+        if keys is None:
+            same = np.array_equal(_distinct_rows(mapped, q), rows)
+        else:
+            keys.sort()
+            same = np.array_equal(keys, _row_keys(rows, q))
+        if not same:
+            return False
+    return True
 
 
 def _translation_invariant(hg: ProgressionHypergraph) -> bool:

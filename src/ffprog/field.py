@@ -15,12 +15,13 @@ enumeration order; psi_0 is the trivial character.
 
 Array model.  Two cached facts serve every k alike: the q x k coefficient
 matrix C in enumeration order, and the k x k trace form
-T[i, j] = Tr(t^(i+j)), so that Tr(a x) = b_a . c_x mod p by linearity,
-with the frequency rows b_a = c_a T mod p cached once (_freq).  One
-exponent kernel, _trace_rows, turns rows b_a into Tr(a x) for every x:
-k broadcast multiply-adds, in int32 whenever k (p - 1)^2 < 2^31 and in
-int64 above that, reduced by floor division (v -= (v // p) p), which
-numpy vectorises where it does not vectorise `%`.  The trace vector
+T[i, j] = Tr(t^(i+j)) (Newton's identities on the modulus), so that
+Tr(a x) = b_a . c_x mod p by linearity, with the frequency rows
+b_a = c_a T mod p cached once (_freq).  One exponent kernel, _trace_rows,
+turns rows b_a into Tr(a x) for every x: k broadcast multiply-adds, in
+int32 whenever k (p - 1)^2 < 2^31 and in int64 above that, reduced by
+floor division (v -= (v // p) p), which numpy vectorises where it does
+not vectorise `%`.  The trace vector
 (kept int64), character_function's single row and the character matrix
 up to q = 1000 read it, and _fft_perm reads _freq.  Polynomials are
 evaluated on all of C at once by Horner with a row-wise product reduced
@@ -31,7 +32,8 @@ Translation has one home, _translates: it views a value array on (p,)*k,
 one axis per coefficient, wraps those axes out to 2p - 1 entries once and
 returns every translate x -> f(x + e) as one window view, indexed by e's
 coefficient vector.  Shifts, differencing, the naive U^s levels, both
-progression-sum routes and the hypergraph all read it.
+progression-sum routes and the hypergraph all read it; the last two first
+check the (2p - 1)^k extension against errors.BUDGET (_check_translates).
 
 The Fourier transform needs no q x q table: psi_a(x) = omega^(b_a . c_x)
 makes fhat a k-dimensional DFT of the values on (p,)*k read at the grid
@@ -345,11 +347,26 @@ class FieldSpec:
         return self._cache["powers"]
 
     def _trace_form(self) -> np.ndarray:
-        """k x k matrix T[i, j] = Tr(t^(i+j)), so Tr(a x) = c_a T c_x mod p."""
+        """k x k matrix T[i, j] = Tr(t^(i+j)), so Tr(a x) = c_a T c_x mod p.
+
+        Tr(t^m) is the power sum s_m of the modulus' roots, so Newton's
+        identities give it from the modulus t^k + a_1 t^(k-1) + .. + a_k in
+        exact ints mod p: s_0 = k and, for m >= 1,
+        s_m = -(a_1 s_(m-1) + .. + a_j s_(m-j)) - m a_m, j = min(m - 1, k),
+        the last term only while m <= k.  (`trace` is the oracle.)
+        """
         if "form" not in self._cache:
-            traces = np.array([trace(self, self.element(row))
-                               for row in self._power_rows()], dtype=np.int64)
-            i = np.arange(self.k)
+            p, k = self.p, self.k
+            a = self.modulus[k - 1::-1]   # a[j - 1] = a_j
+            traces = [k % p]
+            for m in range(1, 2 * k - 1):
+                acc = sum(a[j - 1] * traces[m - j]
+                          for j in range(1, min(m, k + 1)))
+                if m <= k:
+                    acc += m * a[m - 1]
+                traces.append(-acc % p)
+            traces = np.array(traces, dtype=np.int64)
+            i = np.arange(k)
             self._cache["form"] = traces[i[:, None] + i[None, :]]
         return self._cache["form"]
 
@@ -587,6 +604,15 @@ def _translates(field: FieldSpec, values: np.ndarray) -> np.ndarray:
     # a window axis steps like the start axis it slides along
     return as_strided(ext, shape=(p,) * k + ext.shape[k:] + (p,) * k,
                       strides=ext.strides + ext.strides[:k], writeable=False)
+
+
+def _check_translates(field: FieldSpec, kind: str) -> None:
+    """Refuse (BudgetExceeded) a _translates extension of a length-q array
+    whose (2p - 1)^k values of dtype kind exceed errors.BUDGET, before it
+    is made.  The count routes and the hypergraph build call it; shift,
+    delta_first_var and the U^s levels do not."""
+    _check_budget(f"translates on q = {field.q} extend to (2p - 1)^k",
+                  (2 * field.p - 1) ** field.k, kind)
 
 
 def _primitive_element(field: FieldSpec) -> FieldElement:

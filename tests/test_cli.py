@@ -583,6 +583,18 @@ def test_decompose_refuses_the_verifier_budget_before_the_producer(
     assert err == [f"ffprog: error: {refused.value}"]
 
 
+def test_count_refuses_the_translate_extension_in_one_line(tmp_path, capsys,
+                                                           monkeypatch):
+    # GF(2^10) extends to 3^10 values, one over the lowered budget
+    monkeypatch.setattr("ffprog.errors.BUDGET", 3 ** 10 - 1)
+    rc = main(["count", "--p", "2", "--k", "10", "--polys", "y,y^2",
+               "--set", "explicit:0,1,5", "--out", str(tmp_path / "c.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ffprog: error: translates on q = 1024 extend to (2p - 1)^k = 59049 "
+        "int64 values (0 MiB), over the budget of 59048 values"]
+
+
 def run_ffprog(*argv):
     """Run the command line in a fresh interpreter: (exit code, stderr)."""
     env = {**os.environ,

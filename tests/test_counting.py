@@ -18,15 +18,18 @@ import weakref
 import numpy as np
 import pytest
 
-from ffprog.errors import (ArityMismatch, CharacteristicWarning,
+from ffprog import errors
+from ffprog.errors import (ArityMismatch, BudgetExceeded, CharacteristicWarning,
                            DegenerateCombination, DependentSystem,
                            ElementOutOfField, EmptyInput, FieldMismatch,
                            IndexOutOfRange, InvalidRange, NonzeroConstantTerm,
                            NotPrime, TwistedSystem, ZeroPolynomial)
 from ffprog.extremal import build_hypergraph
-from ffprog.field import FieldSpec, character_eval, is_prime, make_field
+from ffprog.field import (FieldSpec, _check_translates, character_eval,
+                          is_prime, make_field)
 from ffprog.functions import (balanced_indicator, character_function,
-                              dense_function, indicator, random_one_bounded)
+                              delta_first_var, dense_function, indicator,
+                              random_one_bounded, two_var_function)
 from ffprog.counting import (BaseCaseReport, LambdaResult, WeilSum,
                              _packed_y_sums, _poly_rows, _system_rows,
                              _view_y_sums,
@@ -612,6 +615,58 @@ def test_count_above_the_table_cap_matches_element_brute_force():
     assert count_progressions(system, A, field=F) == want
     scaled = main_term_error(system, A, field=F).scaled_count
     assert abs(scaled - want) < 1e-6
+
+
+# -- the translate extension's budget -------------------------------------------
+
+@pytest.mark.parametrize("p,k", [(8388593, 1), (2, 14), (3, 9)])
+def test_translate_extension_fits_the_budget(p, k):
+    # 2p - 1 <= 2^24 for every prime up to 8388593; 3^14 and 5^9 values
+    assert is_prime(8388593) and 2 * 8388593 - 1 <= errors.BUDGET
+    _check_translates(make_field(p, k), "int64")
+
+
+def test_translate_extension_is_refused_before_it_is_made(monkeypatch):
+    # GF(2^10) extends to 3^10 = 59049 values: with the budget one below,
+    # both count routes and the hypergraph build refuse before any work
+    system = progression_system(["y", "y^2"])
+    monkeypatch.setattr(errors, "BUDGET", 3 ** 10 - 1)
+    F = make_field(2, 10)
+    A = [F.element_at(i) for i in (0, 1, 5, 6)]
+    message = (r"^translates on q = 1024 extend to \(2p - 1\)\^k = 59049 "
+               r"int64 values \(0 MiB\), over the budget of 59048 values$")
+    with pytest.raises(BudgetExceeded, match=message):
+        count_progressions(system, A)
+    assert "packed" not in F._cache   # refused before the layout was made
+    f = random_one_bounded(F, SplitMix64(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CharacteristicWarning)
+        with pytest.raises(BudgetExceeded, match="59049 complex128 values"):
+            lambda_average(system, [f] * 3)
+    with pytest.raises(BudgetExceeded, match=message):
+        build_hypergraph(system, F)
+    # a shift keeps no guard of its own
+    assert np.array_equal(f.shift(F.element_at(3)).values,
+                          f.values[[(x + F.element_at(3)).index
+                                    for x in F.elements()]])
+    monkeypatch.setattr(errors, "BUDGET", 3 ** 10)   # at the budget: counted
+    members = set(A)
+    want = sum(x + y in members and x + y * y in members
+               for y in F.elements() for x in A)
+    assert count_progressions(system, A) == want
+
+
+def test_differencing_keeps_no_translate_guard(monkeypatch):
+    # delta_first_var extends a q x q array, (2p - 1)^k rows of q values
+    monkeypatch.setattr(errors, "BUDGET", 3 ** 4 - 1)
+    F = make_field(2, 4)
+    with pytest.raises(BudgetExceeded):
+        count_progressions(progression_system(["y"]), [F.one])
+    G = two_var_function(F, np.arange(F.q * F.q).reshape(F.q, F.q))
+    h = F.element_at(3)
+    rows = [(x + h).index for x in F.elements()]
+    want = G.values[rows] * np.conj(G.values)
+    assert np.array_equal(delta_first_var(G, [h]).values, want)
 
 
 # -- per-field caches ---------------------------------------------------------------------

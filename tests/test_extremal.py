@@ -14,10 +14,13 @@ and the search with it against the search without it.  The search reads
 closing tables; an in-file edge-scan branch and bound over incidence lists
 built here from hg.edges is its oracle, node for node.  The greedy pass is
 checked against its definition (an edge scan per vertex) on shuffled
-orders.
+orders.  The closing tables, packed as uint64 words, are checked against
+that definition at the 64-bit word seams and for their peak memory
+(tracemalloc), and pinned searches must reproduce their recorded results.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +31,10 @@ from ffprog.counting import count_progressions, poly_index_table
 from ffprog.errors import InsufficientData, InvalidRange, TwistedSystem
 from ffprog.extremal import (ExtremalResult, ProgressionHypergraph,
                              _closing_tables, _dilation_invariant,
-                             _fixed_at_root, _greedy_mask,
-                             _translation_invariant, build_hypergraph,
-                             gamma_fit, r_exact, r_lower_random)
+                             _distinct_rows, _fixed_at_root, _greedy_mask,
+                             _invariant, _row_keys, _translation_invariant,
+                             build_hypergraph, gamma_fit, r_exact,
+                             r_lower_random)
 from ffprog.field import _translates, make_field
 from ffprog.polys import progression_system, reduce_and_eval
 
@@ -580,6 +584,217 @@ def test_repeated_vertex_edges_are_sized_by_distinct_vertices(edges, r):
     assert is_independent(res.witness_indices, edges)
     greedy = r_lower_random(hg, 20, seed=4)
     assert is_independent(greedy.witness_indices, edges)
+
+
+# -- packed closing tables, edge tuples and invariance keys ---------------------
+
+# q = 61 and 64 = 2^6 fit one word per mask, 67 and 128 = 2^7 two, 131
+# three; the 3-point edges of the last two span several scatter blocks.
+# (y, y^2, y^3) at p = 13 has 4-point edges, so the wide tier runs.
+SEAM_CASES = [(61, 1, ("y", "y^2")), (2, 6, ("y", "y^2")),
+              (67, 1, ("y", "y^2")), (2, 7, ("y", "y^2")),
+              (131, 1, ("y", "y^2")), (13, 1, ("y", "y^2", "y^3"))]
+
+
+@pytest.mark.parametrize("policy", ["paper_literal", "distinct_points"])
+@pytest.mark.parametrize("p,k,polys", SEAM_CASES)
+def test_packed_tables_match_the_definition_at_word_seams(p, k, polys,
+                                                          policy):
+    hg = build_hypergraph(progression_system(list(polys)), make_field(p, k),
+                          degeneracy=policy)
+    assert table_contents(hg) == incidence_tables(hg)
+    # the edge tuples are the vertex-set rows, listed row by row
+    sets = hg._vertex_sets()
+    assert hg.edges == tuple(e for d in sorted(sets)
+                             for e in map(tuple, sets[d].tolist()))
+    assert all(type(v) is int for e in hg.edges[:50] for v in e)
+
+
+def test_closing_tables_peak_is_their_output_and_one_block():
+    # beside its output the build holds the (q, q, W) pair words and one
+    # scatter block's index arrays; a scatter of every 3-point edge at
+    # once would hold about 18 MiB of indices at q = 251
+    q = 251
+    hg = build_hypergraph(progression_system(["y", "y^2"]), make_field(q))
+    hg._vertex_sets()
+    words = q * q * -(-q // 64) * 8
+    tracemalloc.start()
+    try:
+        tables = _closing_tables(hg)
+        output, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tables[0][1][0][1]   # {0, 1, 2} is an edge
+    assert peak - output <= words + (1 << 20)
+
+
+def invariant_by_rows(hg, perm):
+    """The invariance gate by deduplicated rows, compared as arrays."""
+    return all(np.array_equal(
+        _distinct_rows(np.sort(perm[rows], axis=1), hg.q), rows)
+        for rows in hg._vertex_sets().values())
+
+
+def test_invariance_keys_match_the_row_route():
+    # a translation orbit with one edge moved is invariant under no
+    # translation, while the orbit itself is
+    field = make_field(7)
+    orbit = {tuple(sorted({c, (c + 1) % 7, (c + 3) % 7})) for c in range(7)}
+    broken = (orbit - {(0, 1, 3)}) | {(0, 1, 4)}
+    shift = (np.arange(7) + 1) % 7
+    for edges, want in ((orbit, True), (broken, False)):
+        hg = ProgressionHypergraph(field, tuple(sorted(edges)), "nonzero",
+                                   "paper_literal")
+        for perm in (shift, (np.arange(7) * 3) % 7, np.arange(7)[::-1]):
+            assert _invariant(hg, perm) is invariant_by_rows(hg, perm)
+        assert _invariant(hg, shift) is want
+        assert _translation_invariant(hg) is want
+
+
+def test_invariance_past_int64_keys_takes_the_row_route():
+    # 7-point sets over GF(2^9) have no int64 key: 512^7 = 2^63
+    field = make_field(2, 9)
+    rows = np.zeros((1, 7), dtype=np.int64)
+    assert _row_keys(rows, 512) is None and _row_keys(rows[:, 1:], 512) == 0
+    els = field.elements()
+    base = [els[i] for i in (0, 1, 2, 5, 9, 77, 300)]
+    orbit = {tuple(sorted((b + c).index for b in base)) for c in els}
+    broken = (orbit - {min(orbit)}) | {(0, 1, 2, 3, 4, 5, 6)}
+    assert (0, 1, 2, 3, 4, 5, 6) not in orbit
+    for edges, want in ((orbit, True), (broken, False)):
+        hg = ProgressionHypergraph(field, tuple(sorted(edges)), "nonzero",
+                                   "paper_literal")
+        assert _translation_invariant(hg) is want
+        perm = np.array([(x + els[3]).index for x in els])
+        assert _invariant(hg, perm) is invariant_by_rows(hg, perm) is want
+
+
+# -- pinned searches -------------------------------------------------------------
+
+# r_exact as (r, witness, nodes, exact, r_upper, fixed) by node budget
+# (None: run to completion), and r_lower_random(hg, 200, seed=3) as (r,
+# witness, attempts); every table, tuple and gate the search reads must
+# reproduce them exactly
+GOLDEN = {
+    (43, 1, ("y", "y^2"), "paper_literal"): (
+        {
+            0: (6, (0, 2, 5, 7, 10, 12), 1, False, 43, 1),
+            1: (6, (0, 2, 5, 7, 10, 12), 2, False, 41, 1),
+            50: (7, (0, 2, 5, 7, 12, 22, 28), 51, False, 40, 1),
+            500: (8, (0, 2, 5, 12, 21, 24, 28, 36), 501, False, 40, 1),
+            None: (8, (0, 2, 5, 12, 21, 24, 28, 36), 14392, True, 8, 1),
+        },
+        (8, (5, 7, 18, 22, 26, 33, 35, 41), 8600)),
+    (43, 1, ("y", "y^2"), "distinct_points"): (
+        {
+            0: (8, (0, 1, 3, 4, 6, 23, 28, 29), 1, False, 43, 1),
+            1: (8, (0, 1, 3, 4, 6, 23, 28, 29), 2, False, 43, 1),
+            50: (8, (0, 1, 3, 4, 6, 23, 28, 29), 51, False, 42, 1),
+            500: (9, (0, 1, 3, 10, 17, 18, 22, 26, 35), 501, False, 42, 1),
+            None: (9, (0, 1, 3, 10, 17, 18, 22, 26, 35), 24114, True, 9, 1),
+        },
+        (9, (1, 2, 9, 10, 18, 26, 27, 35, 36), 8600)),
+    (67, 1, ("y", "y^2"), "paper_literal"): (
+        {
+            0: (10, (0, 2, 5, 7, 12, 16, 20, 24, 38, 46), 1, False, 67, 1),
+            1: (10, (0, 2, 5, 7, 12, 16, 20, 24, 38, 46), 2, False, 65, 1),
+            50: (10, (0, 2, 5, 7, 12, 16, 20, 24, 38, 46), 51, False, 64, 1),
+            500: (11, (0, 2, 5, 7, 12, 34, 41, 43, 46, 50, 59), 501, False, 64,
+                1),
+            None: (11, (0, 2, 5, 7, 12, 34, 41, 43, 46, 50, 59), 808750, True,
+                11, 1),
+        },
+        (11, (0, 6, 11, 15, 19, 21, 34, 38, 40, 52, 63), 13400)),
+    (67, 1, ("y", "y^2"), "distinct_points"): (
+        {
+            0: (10, (0, 1, 3, 4, 6, 18, 19, 24, 29, 55), 1, False, 67, 1),
+            1: (10, (0, 1, 3, 4, 6, 18, 19, 24, 29, 55), 2, False, 67, 1),
+            50: (11, (0, 1, 3, 4, 6, 18, 21, 24, 43, 47, 57), 51, False, 66,
+                1),
+            500: (11, (0, 1, 3, 4, 6, 18, 21, 24, 43, 47, 57), 501, False, 66,
+                1),
+            None: (12, (0, 1, 3, 4, 15, 17, 18, 29, 43, 53, 54, 57), 1424086,
+                True, 12, 1),
+        },
+        (11, (8, 11, 24, 26, 34, 38, 39, 43, 49, 52, 65), 13400)),
+    (127, 1, ("y", "y^2"), "paper_literal"): (
+        {
+            0: (13, (0, 2, 5, 7, 10, 12, 15, 20, 22, 31, 38, 42, 77), 1, False,
+                127, 1),
+            1: (13, (0, 2, 5, 7, 10, 12, 15, 20, 22, 31, 38, 42, 77), 2, False,
+                125, 1),
+            50: (13, (0, 2, 5, 7, 10, 12, 15, 20, 22, 31, 38, 42, 77), 51,
+                False, 124, 1),
+            500: (15, (0, 2, 5, 7, 10, 12, 15, 20, 22, 38, 43, 77, 91, 96,
+                119), 501, False, 124, 1),
+        },
+        (16, (4, 6, 15, 29, 33, 47, 52, 54, 60, 66, 80, 88, 97, 105, 111, 113),
+            25400)),
+    (127, 1, ("y", "y^2"), "distinct_points"): (
+        {
+            0: (15, (0, 1, 3, 4, 6, 11, 14, 18, 19, 22, 27, 32, 50, 85, 90), 1,
+                False, 127, 1),
+            1: (15, (0, 1, 3, 4, 6, 11, 14, 18, 19, 22, 27, 32, 50, 85, 90), 2,
+                False, 127, 1),
+            50: (15, (0, 1, 3, 4, 6, 11, 14, 18, 19, 22, 27, 32, 50, 85, 90),
+                51, False, 126, 1),
+            500: (15, (0, 1, 3, 4, 6, 11, 14, 18, 19, 22, 27, 32, 50, 85, 90),
+                501, False, 126, 1),
+        },
+        (16, (4, 6, 15, 29, 33, 47, 52, 54, 60, 66, 80, 88, 97, 105, 111, 113),
+            25400)),
+    (37, 1, ("y", "2y"), "paper_literal"): (
+        {
+            0: (8, (0, 1, 3, 4, 9, 10, 12, 13), 1, False, 37, 2),
+            1: (8, (0, 1, 3, 4, 9, 10, 12, 13), 2, False, 37, 2),
+            50: (8, (0, 1, 3, 4, 9, 10, 12, 13), 51, False, 33, 2),
+            500: (10, (0, 1, 3, 7, 17, 24, 25, 28, 29, 35), 501, False, 33, 2),
+            None: (10, (0, 1, 3, 7, 17, 24, 25, 28, 29, 35), 4011, True, 10,
+                2),
+        },
+        (10, (7, 8, 11, 13, 17, 22, 24, 25, 30, 32), 7400)),
+    (37, 1, ("y", "2y"), "distinct_points"): (
+        {
+            0: (8, (0, 1, 3, 4, 9, 10, 12, 13), 1, False, 37, 2),
+            1: (8, (0, 1, 3, 4, 9, 10, 12, 13), 2, False, 37, 2),
+            50: (8, (0, 1, 3, 4, 9, 10, 12, 13), 51, False, 33, 2),
+            500: (10, (0, 1, 3, 7, 17, 24, 25, 28, 29, 35), 501, False, 33, 2),
+            None: (10, (0, 1, 3, 7, 17, 24, 25, 28, 29, 35), 4011, True, 10,
+                2),
+        },
+        (10, (7, 8, 11, 13, 17, 22, 24, 25, 30, 32), 7400)),
+    (3, 3, ("y", "y^2"), "paper_literal"): (
+        {
+            0: (5, (0, 1, 2, 12, 15), 1, False, 27, 1),
+            1: (5, (0, 1, 2, 12, 15), 2, False, 25, 1),
+            50: (9, (0, 1, 2, 15, 16, 17, 21, 22, 23), 51, False, 23, 1),
+            500: (9, (0, 1, 2, 15, 16, 17, 21, 22, 23), 158, True, 9, 1),
+            None: (9, (0, 1, 2, 15, 16, 17, 21, 22, 23), 158, True, 9, 1),
+        },
+        (9, (0, 1, 2, 15, 16, 17, 21, 22, 23), 5400)),
+    (3, 3, ("y", "y^2"), "distinct_points"): (
+        {
+            0: (6, (0, 1, 2, 9, 10, 11), 1, False, 27, 1),
+            1: (6, (0, 1, 2, 9, 10, 11), 2, False, 27, 1),
+            50: (6, (0, 1, 2, 9, 10, 11), 51, False, 26, 1),
+            500: (9, (0, 1, 2, 15, 16, 17, 21, 22, 23), 501, False, 19, 1),
+            None: (9, (0, 1, 2, 15, 16, 17, 21, 22, 23), 596, True, 9, 1),
+        },
+        (9, (0, 4, 8, 10, 14, 15, 20, 21, 25), 5400)),
+}
+
+
+@pytest.mark.parametrize("p,k,polys,policy", sorted(GOLDEN))
+def test_searches_reproduce_pinned_results(p, k, polys, policy):
+    hg = build_hypergraph(progression_system(list(polys)), make_field(p, k),
+                          degeneracy=policy)
+    exact, greedy = GOLDEN[p, k, polys, policy]
+    for budget, want in exact.items():
+        res = r_exact(hg) if budget is None else r_exact(hg, budget)
+        assert (res.r, res.witness_indices, res.nodes_explored, res.exact,
+                res.r_upper, res.fixed) == want
+    res = r_lower_random(hg, 200, seed=3)
+    assert (res.r, res.witness_indices, res.nodes_explored) == greedy
 
 
 # -- dilation-symmetry break ---------------------------------------------------

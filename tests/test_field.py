@@ -428,6 +428,19 @@ def test_character_matrix_block_seams_match_character_eval(p, k, rows):
         assert np.max(np.abs(chi[a] - want)) < 1e-12, a
 
 
+@pytest.mark.parametrize("p,k,modulus", [
+    (2, 1, None), (7, 1, None), (2, 6, None), (2, 10, None), (3, 3, None),
+    (3, 4, None), (3, 7, None), (5, 2, None), (5, 3, None), (11, 2, None),
+    (13, 3, None), (61, 2, None), (3, 2, (2, 2, 1)), (7, 1, (3, 1))])
+def test_trace_form_from_newton_identities_matches_the_trace(p, k, modulus):
+    # the form comes from the modulus alone; the oracle takes each trace
+    # of t^m as a sum of Frobenius powers of FieldElements
+    F = make_field(p, k, modulus)
+    traces = [trace(F, F.element(tuple(row))) for row in F._power_rows()]
+    want = [[traces[i + j] for j in range(k)] for i in range(k)]
+    assert F._trace_form().tolist() == want
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (101, 1), (2, 6), (11, 2), (5, 3),
                                  (3, 4), (2, 9), (13, 3)])
 def test_fft_perm_is_the_frequency_index_of_every_character(p, k):
