@@ -351,7 +351,7 @@ def _cmd_extremal(args, seed: int, ledger: Ledger) -> int:
                              timing={"ms": int(res.wall_time * 1000)})
                 if policy == policies[0]:
                     gamma_point = ""
-                    if res.exact and res.r >= 1 and field.q > 1:
+                    if res.exact and res.r >= 1:
                         gamma_point = 1.0 - math.log(res.r) / math.log(field.q)
                     ledger.csv_row([field.q, res.r, res.exact, gamma_point])
     return 0

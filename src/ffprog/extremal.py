@@ -26,14 +26,14 @@ deduplicated through an exact int64 key (the row read as a base-q number,
 whose order is the rows' lexicographic order) or, when q^d >= 2^63, by
 lexsort.  Those vertex-set arrays are the edge store the search reads;
 the edge tuples are zipped from their column lists a block at a time.
-The closing tables of 2- and 3-point edges are filled from them as
-little-endian uint64 words, W = ceil(q / 64) per mask, by one scatter
-per tier (np.add.at: the sets are distinct, so no bit is set twice and
-adding ORs); the scatter runs _TUPLE_ROWS edges at a time, so its index
-arrays stay a block's size, and the words become the masks' Python ints
-in one step.  The invariance checks behind the symmetry breaks map the
-vertex sets through a vertex permutation and compare the sorted keys of
-the result with the sets' own keys (deduplicated rows where
+The 2- and 3-point edges fill one (q, q) closing table of little-endian
+uint64 words, W = ceil(q / 64) per mask, the 2-point masks on its
+diagonal, by one scatter (np.add.at: the sets are distinct, so no bit is
+set twice and adding ORs); the scatter runs _TUPLE_ROWS edges at a time,
+so its index arrays stay a block's size, and the words become the masks'
+Python ints row by row.  The invariance checks behind the symmetry breaks
+map the vertex sets through a vertex permutation and compare the sorted
+keys of the result with the sets' own keys (deduplicated rows where
 q^d >= 2^63).
 
 r_exact runs an exact branch-and-bound maximum-independent-set search over
@@ -77,19 +77,21 @@ gamma_fit estimates the exponent gamma in r ~ q^(1-gamma) by least squares
 on log r against log q over exact results; it reports a standard error and
 residuals and makes no claim beyond the fitted data.
 
-Errors raised here: TwistedSystem, InvalidRange, InsufficientData.
+Errors raised here: TwistedSystem, InvalidRange, InsufficientData,
+BudgetExceeded.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as _dc_field
-from itertools import chain, permutations
+from itertools import chain, permutations, repeat
 
 import numpy as np
 
 from .counting import _first_y, _system_rows
-from .errors import InsufficientData, InvalidRange, TwistedSystem
+from .errors import (InsufficientData, InvalidRange, TwistedSystem,
+                     _check_budget)
 from .field import (FieldElement, FieldSpec, _check_translates,
                     _primitive_element, _translates)
 from .polys import ProgressionSystem
@@ -120,11 +122,15 @@ class ProgressionHypergraph:
         return self.field.q
 
     def _vertex_sets(self) -> dict[int, np.ndarray]:
-        """The edges as vertex sets, by size (cached): see _point_sets."""
+        """The edges as vertex sets, by size (cached): see _point_sets.
+        A vertex outside [0, q), which no base-q key holds, is refused."""
         if "sets" not in self._cache:
             edges = [e for e in self.edges if e]
             lens = np.array([len(e) for e in edges], dtype=np.int64)
             flat = np.fromiter(chain.from_iterable(edges), np.int64)
+            bad = flat[(flat < 0) | (flat >= self.q)]
+            if len(bad):
+                raise InvalidRange(f"vertex {bad[0]} outside [0, {self.q})")
             # each edge padded to the widest by repeating its last vertex,
             # which leaves its vertex set as it is
             width = int(lens.max(initial=1))
@@ -231,6 +237,8 @@ def build_hypergraph(system: ProgressionSystem, field: FieldSpec,
         raise InvalidRange(f"unknown degeneracy policy {degeneracy!r}")
     _check_translates(field, "int64")
     q = field.q
+    _check_budget(f"hypergraph on q = {q} gathers (m + 1)(q - {start})q",
+                  (system.m1 + 1) * (q - start) * q, "int64")
     index = np.arange(q, dtype=np.int64)
     to = _translates(field, index)   # to[c_e]: x -> index of x + e
     points = [np.broadcast_to(index, (q - start, q))]
@@ -281,60 +289,53 @@ def _check_bitset(q: int) -> None:
 
 
 def _scatter_bits(words: np.ndarray, rows: np.ndarray, q: int) -> None:
-    """Set in words, a zeroed (q,)*(d-1) + (W,) array of little-endian
-    uint64 words, the bit of w at [v, *rest] for every vertex order
-    (v, *rest, w) of each d-row: one scatter per block of _TUPLE_ROWS rows,
-    so its index arrays stay a block's size.
+    """Set in words, a zeroed (q, q, W) array of little-endian uint64
+    words, the bit of w at [v, u] for every vertex order (v, u, w) of each
+    3-row and at [v, v] for every order (v, w) of each 2-row: the row is
+    v q + cols[-2], which is v itself for a 2-row.  One scatter per block
+    of _TUPLE_ROWS rows, so its index arrays stay a block's size.
 
-    The rows are distinct sets, so no (v, *rest, w) comes twice and no bit
-    is set twice: adding the bits ORs them, and np.add.at runs several
-    times faster than np.bitwise_or.at."""
-    d, width = rows.shape[1], words.shape[-1]
-    flat = words.reshape(-1)
-    orders = np.array(list(permutations(range(d))))
+    The rows are distinct sets, so no order comes twice and no bit is set
+    twice: adding the bits ORs them, and np.add.at runs several times
+    faster than np.bitwise_or.at."""
+    width = words.shape[-1]
+    orders = np.array(list(permutations(range(rows.shape[1]))))
     for start in range(0, len(rows), _TUPLE_ROWS):
         cols = rows[start:start + _TUPLE_ROWS].T[orders]   # (d!, d, n)
-        at = cols[:, 0]
-        for j in range(1, d - 1):
-            at = at * q + cols[:, j]
         w = cols[:, -1]
-        np.add.at(flat, (at * width + (w >> 6)).ravel(),
-                  _BITS[w & 63].ravel())
+        at = (cols[:, 0] * q + cols[:, -2]) * width + (w >> 6)
+        np.add.at(words.reshape(-1), at.ravel(), _BITS[w & 63].ravel())
 
 
 def _word_ints(words: np.ndarray) -> list:
-    """A (q, W) or (q, q, W) array of little-endian uint64 words as nested
-    lists of Python ints, one int per W words: tolist for one word, else
-    int.from_bytes over slices of the buffer."""
-    q, width = len(words), words.shape[-1]
+    """A (q, q, W) array of little-endian uint64 words as a (q, q) nested
+    list of Python ints, one int per W words: tolist for one word, else
+    each row viewed as W-word void scalars, whose tolist gives the bytes
+    that int.from_bytes reads."""
+    width = words.shape[-1]
     if width == 1:
         return words[..., 0].tolist()
-    buf = memoryview(words).cast("B")
-    step = 8 * width
-    ints = [int.from_bytes(buf[i:i + step], "little")
-            for i in range(0, len(buf), step)]
-    if words.ndim == 2:
-        return ints
-    return [ints[v * q:(v + 1) * q] for v in range(q)]
+    return [list(map(int.from_bytes, row.tolist(), repeat("little")))
+            for row in words.view(f"V{8 * width}")[..., 0]]
 
 
 def _closing_tables(hg: ProgressionHypergraph):
-    """The closing tables (static, pair, wide) of hg, and its usable mask.
+    """The closing tables (pair, wide) of hg, and its usable mask.
 
     For an edge e and distinct v, w in e, let rest = e minus {v, w}: once v
-    is in the set, w is forbidden exactly when rest is inside it.  static[v]
-    holds the w with rest empty (2-point edges); pair[v][u] holds the w
-    with rest = {u} (3-point edges); wide[v][u] lists (rest, w-bit) for
-    |rest| >= 2, keyed by u, the lowest vertex of rest, and is None when no
-    edge has four points.  The edges are read as hg's vertex sets: a
-    one-vertex set makes its vertex unusable instead, and a set through an
-    unusable vertex can never be completed and is left out.
+    is in the set, w is forbidden exactly when rest is inside it.  pair[v][u]
+    holds the w with rest = {u} (3-point edges), and pair[v][v] the w with
+    rest empty (2-point edges): a 3-point rest never contains v, so nothing
+    else writes that slot.  wide[v][u] lists (rest, w-bit) for |rest| >= 2,
+    keyed by u, the lowest vertex of rest, and is None when no edge has
+    four points.  The edges are read as hg's vertex sets: a one-vertex set
+    makes its vertex unusable instead, and a set through an unusable vertex
+    can never be completed and is left out.
 
-    static and pair are filled as arrays of W = ceil(q / 64) little-endian
-    uint64 words per mask, (q, W) and (q, q, W), by one scatter per tier,
-    run _TUPLE_ROWS edges at a time (_scatter_bits); the words then become
-    the masks in one step (_word_ints).  A tier with no edges gets zero
-    masks and no words.  The wide tier is filled edge by edge.
+    pair is filled as one (q, q, W) array of W = ceil(q / 64) little-endian
+    uint64 words per mask by one scatter over the 2- and 3-point sets, run
+    _TUPLE_ROWS edges at a time (_scatter_bits); the words then become the
+    masks row by row (_word_ints).  The wide tier is filled edge by edge.
     """
     q = hg.q
     _check_bitset(q)
@@ -343,15 +344,13 @@ def _closing_tables(hg: ProgressionHypergraph):
     dead = sets[1][:, 0].tolist() if 1 in sets else []
     alive = np.ones(q, dtype=bool)
     alive[dead] = False
-    width = -(-q // 64)
-    words = {}
+    words = np.zeros((q, q, -(-q // 64)), dtype="<u8")
     wide = None
     for d, rows in sets.items():
         if dead:   # a copy, so only when needed; drops the one-vertex sets too
             rows = rows[alive[rows].all(axis=1)]
         if d in (2, 3):
-            words[d] = np.zeros((q,) * (d - 1) + (width,), dtype="<u8")
-            _scatter_bits(words[d], rows, q)
+            _scatter_bits(words, rows, q)
         elif len(rows):
             if wide is None:
                 wide = [[()] * q for _ in range(q)]
@@ -366,19 +365,17 @@ def _closing_tables(hg: ProgressionHypergraph):
                             if not row[u]:
                                 row[u] = []
                             row[u].append((rest, bit[w]))
-    static = _word_ints(words[2]) if 2 in words else [0] * q
-    pair = (_word_ints(words[3]) if 3 in words
-            else [[0] * q for _ in range(q)])
     usable = ((1 << q) - 1) & ~_mask(dead)
-    return (static, pair, wide), usable
+    return (_word_ints(words), wide), usable
 
 
-def _closed(v: int, cur: int, static, pair, wide) -> int:
+def _closed(v: int, cur: int, pair, wide) -> int:
     """The vertices that v, joining cur, forbids: each w whose edge with v
-    has every other vertex in cur.  Walks the vertices of cur, not the
-    edges through v."""
-    out = static[v]
+    has every other vertex in cur.  Starts from pair[v][v], v's 2-point
+    edges, and walks the vertices of cur, not the edges through v; v is
+    never in cur, so the walk never reads that slot again."""
     pv = pair[v]
+    out = pv[v]
     c = cur
     if wide is None:   # no edge of four points: the pair tier alone
         while c:
@@ -406,14 +403,14 @@ def _greedy_mask(order, tables, usable: int) -> int:
     its edges (the unit propagation of r_exact), so a vertex is skipped
     exactly when it would complete an edge, with no scan of its edges.
     """
-    static, pair, wide = tables
+    pair, wide = tables
     cur = 0
     forbidden = ~usable
     for v in order:
         vbit = 1 << v
         if forbidden & vbit:
             continue
-        forbidden |= _closed(v, cur, static, pair, wide)
+        forbidden |= _closed(v, cur, pair, wide)
         cur |= vbit
     return cur
 
@@ -504,7 +501,7 @@ def r_exact(hg: ProgressionHypergraph,
     q = hg.q
     t0 = time.perf_counter()
     tables, usable = _closing_tables(hg)
-    static, pair, wide = tables
+    pair, wide = tables
     best_mask = _greedy_mask(range(q), tables, usable)
     best_size = best_mask.bit_count()
     nodes = 0
@@ -515,7 +512,7 @@ def r_exact(hg: ProgressionHypergraph,
     # of a recursive include-first search.  No candidate completes an edge
     # with cur, so including v never does.
     fixed = _fixed_at_root(hg, usable)
-    if fixed == 2 and not usable & ~1 & ~static[0]:
+    if fixed == 2 and not usable & ~1 & ~pair[0][0]:
         fixed = 1   # no vertex can join 0: the dilation break fixes none
     stack = [(0, usable, 0, fixed)]
     while stack:
@@ -535,7 +532,7 @@ def r_exact(hg: ProgressionHypergraph,
             forced -= 1   # the include child inherits what is left
         else:
             stack.append((cur, cand & ~vbit, size, 0))  # exclude v
-        newcand = cand & ~vbit & ~_closed(v, cur, static, pair, wide)
+        newcand = cand & ~vbit & ~_closed(v, cur, pair, wide)
         stack.append((cur | vbit, newcand, size + 1, forced))  # include v
 
     # every set better than the incumbent that the search has not ruled
@@ -597,6 +594,6 @@ def gamma_fit(results) -> GammaFit:
     const = float(yv.mean() - slope * xbar)
     resid = yv - (slope * x + const)
     n = len(pts)
-    s2 = float((resid ** 2).sum()) / (n - 2) if n > 2 else 0.0
+    s2 = float((resid ** 2).sum()) / (n - 2)
     return GammaFit(1.0 - slope, (s2 / sxx) ** 0.5, n,
                     tuple(float(r) for r in resid))

@@ -26,9 +26,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffprog import extremal
+from ffprog import errors, extremal
 from ffprog.counting import count_progressions, poly_index_table
-from ffprog.errors import InsufficientData, InvalidRange, TwistedSystem
+from ffprog.errors import (BudgetExceeded, InsufficientData, InvalidRange,
+                           TwistedSystem)
 from ffprog.extremal import (ExtremalResult, ProgressionHypergraph,
                              _closing_tables, _dilation_invariant,
                              _distinct_rows, _fixed_at_root, _greedy_mask,
@@ -122,7 +123,11 @@ def incidence_tables(hg):
 def table_contents(hg):
     """_closing_tables(hg) with each wide entry list sorted (its order is
     not part of the tables' meaning)."""
-    (static, pair, wide), usable = _closing_tables(hg)
+    (pair, wide), usable = _closing_tables(hg)
+    # static, the 2-point masks, sits on pair's diagonal, which no
+    # 3-point edge fills
+    static = [row[v] for v, row in enumerate(pair)]
+    pair = [row[:v] + [0] + row[v + 1:] for v, row in enumerate(pair)]
     if wide is not None:
         wide = [[sorted(entries) for entries in row] for row in wide]
     return static, pair, wide, usable
@@ -289,6 +294,22 @@ def test_hypergraph_validation():
         build_hypergraph(sys, field, y_rule="some")
     with pytest.raises(InvalidRange):
         build_hypergraph(sys, field, degeneracy="lenient")
+
+
+def test_build_gather_is_refused_before_it_is_made(monkeypatch):
+    # (y, y^2) over F_7 gathers 3 points for each of 6 y and 7 x; the
+    # translate extension (13 values) passes either way
+    system, field = progression_system(["y", "y^2"]), make_field(7)
+    monkeypatch.setattr(errors, "BUDGET", 3 * 6 * 7 - 1)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^hypergraph on q = 7 gathers \(m \+ 1\)"
+                             r"\(q - 1\)q = 126 int64 values"):
+        build_hypergraph(system, field)
+    with pytest.raises(BudgetExceeded, match=r"\(q - 0\)q = 147 "):
+        build_hypergraph(system, field, y_rule="all")
+    monkeypatch.setattr(errors, "BUDGET", 3 * 6 * 7)   # at the budget: built
+    assert build_hypergraph(system, field).edges == \
+        loop_hypergraph(system, field)
 
 
 # -- exact search vs the exhaustive oracle --------------------------------------
@@ -509,6 +530,7 @@ def test_closing_tables_match_edge_scan_on_orbit_hypergraphs(case):
     # the orbits hold up to 4-point edges, so every tier of the tables runs;
     # a stopped search brackets the sweep's answer
     hg, _ = case
+    assert table_contents(hg) == incidence_tables(hg)
     r = sweep_r(hg.q, hg.edges)
     for budget in BUDGETS:
         res = r_exact(hg, node_budget=budget)
@@ -624,7 +646,7 @@ def test_closing_tables_peak_is_their_output_and_one_block():
         output, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert tables[0][1][0][1]   # {0, 1, 2} is an edge
+    assert tables[0][0][0][1]   # {0, 1, 2} is an edge
     assert peak - output <= words + (1 << 20)
 
 
@@ -872,6 +894,18 @@ def test_bitset_limit():
     with pytest.raises(InvalidRange, match="q <= 512, got q = 521"):
         r_exact(hg)
     with pytest.raises(InvalidRange, match="q <= 512, got q = 521"):
+        r_lower_random(hg, 5, seed=1)
+
+
+@pytest.mark.parametrize("edges,vertex", [(((0, 7),), 7), (((-1, 2),), -1)])
+def test_vertices_outside_the_field_are_refused(edges, vertex):
+    # base-q keys would read (0, 7) over F_5 as {1, 2} and drop (-1, 2)
+    hg = ProgressionHypergraph(make_field(5), edges, "nonzero",
+                               "paper_literal")
+    message = f"^vertex {vertex} outside \\[0, 5\\)$"
+    with pytest.raises(InvalidRange, match=message):
+        r_exact(hg)
+    with pytest.raises(InvalidRange, match=message):
         r_lower_random(hg, 5, seed=1)
 
 
