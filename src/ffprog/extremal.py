@@ -30,8 +30,9 @@ The 2- and 3-point edges fill one (q, q) closing table of little-endian
 uint64 words, W = ceil(q / 64) per mask, the 2-point masks on its
 diagonal, by one scatter (np.add.at: the sets are distinct, so no bit is
 set twice and adding ORs); the scatter runs _TUPLE_ROWS edges at a time,
-so its index arrays stay a block's size, and the words become the masks'
-Python ints row by row.  The invariance checks behind the symmetry breaks
+so its index arrays stay a block's size.  r_exact reads the words as the
+masks' Python ints, made row by row; the greedy batch reads the words
+themselves.  The invariance checks behind the symmetry breaks
 map the vertex sets through a vertex permutation and compare the sorted
 keys of the result with the sets' own keys (deduplicated rows where
 q^d >= 2^63).
@@ -44,7 +45,9 @@ complete an almost-full edge.  Propagation reads closing tables keyed by a
 vertex already in the set: for an edge e and distinct v, w in e, once v
 joins the set w is forbidden exactly when the rest of e is already in it.
 Including v therefore walks the (at most r) vertices of the set, not every
-edge through v.  The search keeps one invariant: no candidate completes an
+edge through v: each frame carries the tuple of its set's members, and the
+include step ORs v's row of the table at v and at each member, with no walk
+over the bits.  The search keeps one invariant: no candidate completes an
 edge with the set.  It holds at the root, where one-vertex edges have made
 their vertex unusable, and each include removes every candidate that v
 would let complete an edge; so no include ever completes an edge, and the
@@ -66,9 +69,16 @@ break from it.
 The search is deterministic -- identical inputs give identical witnesses --
 and a node budget turns the result into a best-found lower bound
 (exact = False) with a certified upper bound r_upper beside it, instead of
-ever raising.  r_lower_random is the randomized greedy companion (best of
-`iters` shuffled insertion passes, seeded, their orders drawn by
-SplitMix64.shuffled_copies in chunks), and reads the same tables.
+ever raising.  r_lower_random is the randomized greedy companion: the best
+of `iters` shuffled insertion passes, seeded, their orders drawn as
+blocks of rows by SplitMix64._shuffled_blocks.  When no edge has four
+points it runs every pass of a block at once on the closing words
+(_greedy_batch): each round, every open pass takes the first vertex of its
+order that is neither taken nor forbidden, found as the argmin of a rank
+array, and forbids what one gather and OR-reduce of the words gives.  A
+wide tier (edges of four or more points) sends each order through
+_greedy_mask, r_exact's incumbent pass, instead; both routes give the same
+sets.
 
 Background for the symmetry break: Crawford, Ginsberg, Luks & Roy,
 "Symmetry-breaking predicates for search problems", KR 1996.
@@ -319,23 +329,23 @@ def _word_ints(words: np.ndarray) -> list:
             for row in words.view(f"V{8 * width}")[..., 0]]
 
 
-def _closing_tables(hg: ProgressionHypergraph):
-    """The closing tables (pair, wide) of hg, and its usable mask.
+def _closing_words(hg: ProgressionHypergraph):
+    """The closing tables (words, wide) of hg, and its usable mask.
 
     For an edge e and distinct v, w in e, let rest = e minus {v, w}: once v
-    is in the set, w is forbidden exactly when rest is inside it.  pair[v][u]
-    holds the w with rest = {u} (3-point edges), and pair[v][v] the w with
-    rest empty (2-point edges): a 3-point rest never contains v, so nothing
-    else writes that slot.  wide[v][u] lists (rest, w-bit) for |rest| >= 2,
-    keyed by u, the lowest vertex of rest, and is None when no edge has
-    four points.  The edges are read as hg's vertex sets: a one-vertex set
-    makes its vertex unusable instead, and a set through an unusable vertex
-    can never be completed and is left out.
+    is in the set, w is forbidden exactly when rest is inside it.
+    words[v, u] holds the w with rest = {u} (3-point edges), and words[v, v]
+    the w with rest empty (2-point edges): a 3-point rest never contains v,
+    so nothing else writes that slot.  wide[v][u] lists (rest, w-bit) for
+    |rest| >= 2, keyed by u, the lowest vertex of rest, and is None when no
+    edge has four points.  The edges are read as hg's vertex sets: a
+    one-vertex set makes its vertex unusable instead, and a set through an
+    unusable vertex can never be completed and is left out.
 
-    pair is filled as one (q, q, W) array of W = ceil(q / 64) little-endian
-    uint64 words per mask by one scatter over the 2- and 3-point sets, run
-    _TUPLE_ROWS edges at a time (_scatter_bits); the words then become the
-    masks row by row (_word_ints).  The wide tier is filled edge by edge.
+    words is one (q, q, W) array of W = ceil(q / 64) little-endian uint64
+    words per mask, filled by one scatter over the 2- and 3-point sets, run
+    _TUPLE_ROWS edges at a time (_scatter_bits).  The wide tier is filled
+    edge by edge.
     """
     q = hg.q
     _check_bitset(q)
@@ -366,33 +376,35 @@ def _closing_tables(hg: ProgressionHypergraph):
                                 row[u] = []
                             row[u].append((rest, bit[w]))
     usable = ((1 << q) - 1) & ~_mask(dead)
+    return (words, wide), usable
+
+
+def _closing_tables(hg: ProgressionHypergraph):
+    """The closing tables (pair, wide) of hg, and its usable mask: those of
+    _closing_words, with pair[v][u] the mask of words[v, u] as a Python
+    int (_word_ints), row by row."""
+    (words, wide), usable = _closing_words(hg)
     return (_word_ints(words), wide), usable
 
 
-def _closed(v: int, cur: int, pair, wide) -> int:
+def _closed(v: int, members, cur: int, pair, wide) -> int:
     """The vertices that v, joining cur, forbids: each w whose edge with v
     has every other vertex in cur.  Starts from pair[v][v], v's 2-point
-    edges, and walks the vertices of cur, not the edges through v; v is
-    never in cur, so the walk never reads that slot again."""
+    edges, and walks members, the vertices of cur, not the edges through
+    v; v is never in cur, so the walk never reads that slot again."""
     pv = pair[v]
     out = pv[v]
-    c = cur
     if wide is None:   # no edge of four points: the pair tier alone
-        while c:
-            low = c & -c
-            out |= pv[low.bit_length() - 1]
-            c ^= low
+        for u in members:
+            out |= pv[u]
         return out
     wv = wide[v]
     missing = ~cur
-    while c:
-        low = c & -c
-        u = low.bit_length() - 1
+    for u in members:
         out |= pv[u]
         for rest, w in wv[u]:
             if not rest & missing:
                 out |= w
-        c ^= low
     return out
 
 
@@ -405,14 +417,56 @@ def _greedy_mask(order, tables, usable: int) -> int:
     """
     pair, wide = tables
     cur = 0
+    members = []
     forbidden = ~usable
     for v in order:
         vbit = 1 << v
         if forbidden & vbit:
             continue
-        forbidden |= _closed(v, cur, pair, wide)
+        forbidden |= _closed(v, members, cur, pair, wide)
         cur |= vbit
+        members.append(v)
     return cur
+
+
+def _greedy_batch(orders: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The greedy sets of every row of orders, a (passes, n) array of
+    usable vertices, read off the closing words when no edge has four
+    points: a (passes, q) array whose row i lists pass i's set in the
+    order taken, padded with q.  _greedy_mask gives the same sets.
+
+    rank[i, v] is v's position in order i, and n once v is taken or
+    forbidden.  Forbidden sets only grow, so the vertex a pass takes next
+    is the first in its order neither forbidden nor taken: the argmin of
+    its rank row, and the pass closes when that rank is n.  Each round
+    every open pass takes its vertex v, so all open passes hold k members
+    at round k, and the vertices v forbids are words[v, u] ORed over u in
+    its members and v itself (the 2-point masks): one gather of (k + 1,
+    open, W) words, one OR-reduce, and the result unpacked to bits.
+    """
+    passes, n = orders.shape
+    q = len(words)
+    flat = words.reshape(q * q, -1)
+    rank = np.full((passes, q), n, dtype=np.intp)
+    rank[np.arange(passes)[:, None], orders] = np.arange(n)
+    taken = np.full((q, passes), q, dtype=np.intp)   # round k: taken[k]
+    open_ = at = np.arange(passes)   # the open passes; at: their rank rows
+    for k in range(q):
+        v = rank.argmin(axis=1)
+        live = rank[at, v] < n
+        if not live.all():
+            open_, rank, v = open_[live], rank[live], v[live]
+            at = at[:len(v)]
+            if not len(v):
+                break
+        taken[k, open_] = v
+        rows = taken[:k + 1, open_]
+        rows += v * q
+        closed = np.bitwise_or.reduce(np.take(flat, rows, axis=0), axis=0)
+        rank[np.unpackbits(closed.view(np.uint8), axis=1, count=q,
+                           bitorder="little").view(bool)] = n
+        rank[at, v] = n
+    return taken.T
 
 
 def _witness(field: FieldSpec, mask: int) -> tuple[FieldElement, ...]:
@@ -505,21 +559,22 @@ def r_exact(hg: ProgressionHypergraph,
     best_mask = _greedy_mask(range(q), tables, usable)
     best_size = best_mask.bit_count()
     nodes = 0
-    # frames (cur, cand, size, forced): the set so far, the vertices still
-    # open, |cur|, and for how many levels, this one first, the search
-    # takes only the include branch of the lowest candidate.  The include
+    # frames (cur, cand, size, forced, members): the set so far, the
+    # vertices still open, |cur|, for how many levels, this one first, the
+    # search takes only the include branch of the lowest candidate, and
+    # the vertices of cur in the order included.  The include
     # child is pushed above the exclude sibling, so nodes pop in the order
     # of a recursive include-first search.  No candidate completes an edge
     # with cur, so including v never does.
     fixed = _fixed_at_root(hg, usable)
     if fixed == 2 and not usable & ~1 & ~pair[0][0]:
         fixed = 1   # no vertex can join 0: the dilation break fixes none
-    stack = [(0, usable, 0, fixed)]
+    stack = [(0, usable, 0, fixed, ())]
     while stack:
-        cur, cand, size, forced = stack.pop()
+        cur, cand, size, forced, members = stack.pop()
         nodes += 1
         if nodes > node_budget:
-            stack.append((cur, cand, size, forced))  # left unexplored
+            stack.append((cur, cand, size, forced, members))  # unexplored
             break
         if size + cand.bit_count() <= best_size:
             continue
@@ -528,17 +583,25 @@ def r_exact(hg: ProgressionHypergraph,
             continue
         vbit = cand & -cand
         v = vbit.bit_length() - 1
+        cand &= ~vbit
         if forced:
             forced -= 1   # the include child inherits what is left
         else:
-            stack.append((cur, cand & ~vbit, size, 0))  # exclude v
-        newcand = cand & ~vbit & ~_closed(v, cur, pair, wide)
-        stack.append((cur | vbit, newcand, size + 1, forced))  # include v
+            stack.append((cur, cand, size, 0, members))  # exclude v
+        if wide is None:
+            pv = pair[v]
+            out = pv[v]
+            for u in members:
+                out |= pv[u]
+        else:
+            out = _closed(v, members, cur, pair, wide)
+        stack.append((cur | vbit, cand & ~out, size + 1, forced,
+                      members + (v,)))  # include v
 
     # every set better than the incumbent that the search has not ruled
     # out lies under a frame still stacked, inside that frame's cur | cand
     r_upper = max([best_size] + [size + cand.bit_count()
-                                 for _, cand, size, _ in stack])
+                                 for _, cand, size, _, _ in stack])
     return ExtremalResult(q, best_size, _witness(hg.field, best_mask),
                           not stack, nodes, time.perf_counter() - t0,
                           "branch_and_bound", r_upper=r_upper, fixed=fixed)
@@ -546,26 +609,37 @@ def r_exact(hg: ProgressionHypergraph,
 
 def r_lower_random(hg: ProgressionHypergraph, iters: int,
                    seed: int) -> ExtremalResult:
-    """Best of `iters` randomized greedy passes; reproducible from seed."""
+    """Best of `iters` randomized greedy passes; reproducible from seed.
+
+    The best is the first pass of largest size.  Without a wide tier the
+    passes of each block of orders run together (_greedy_batch); with one,
+    _greedy_mask runs each order in turn.
+    """
     q = hg.q
     if iters < 1:
         raise InvalidRange(f"iters must be >= 1, got {iters}")
     t0 = time.perf_counter()
-    tables, usable = _closing_tables(hg)
+    (words, wide), usable = _closing_words(hg)
+    tables = None if wide is None else (_word_ints(words), wide)
     rng = SplitMix64(seed)
     vertices = [v for v in range(q) if usable & (1 << v)]
-    best_mask = 0
-    best_size = 0
-    attempts = 0
-    for order in rng.shuffled_copies(vertices, iters):
-        cur = _greedy_mask(order, tables, usable)
-        attempts += len(order)
-        size = cur.bit_count()
-        if size > best_size:
-            best_size, best_mask = size, cur
+    best_size = best_mask = 0
+    for orders in rng._shuffled_blocks(vertices, iters):
+        if tables is None:
+            taken = _greedy_batch(orders, words)
+            sizes = (taken < q).sum(axis=1)
+            i = int(sizes.argmax())
+            if sizes[i] > best_size:
+                best_size = int(sizes[i])
+                best_mask = _mask(taken[i, :best_size].tolist())
+        else:
+            for order in orders.tolist():
+                cur = _greedy_mask(order, tables, usable)
+                if cur.bit_count() > best_size:
+                    best_size, best_mask = cur.bit_count(), cur
     return ExtremalResult(q, best_size, _witness(hg.field, best_mask),
-                          False, attempts, time.perf_counter() - t0,
-                          "random_greedy", seed)
+                          False, iters * len(vertices),
+                          time.perf_counter() - t0, "random_greedy", seed)
 
 
 @dataclass(frozen=True)

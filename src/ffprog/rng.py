@@ -41,11 +41,16 @@ fewer accepted pairs than are still needed is consumed whole (the state
 moves past all of its draws, rejected ones included), and the last chunk
 moves the state only to the end of the last pair it keeps.  ``subset`` and
 ``shuffle`` draw through ``random_block`` and ``u64_block``.
-``shuffled_copies`` draws the Fisher--Yates indices of as many copies as
-fit in one chunk of at most _SHUFFLE_CHUNK outputs (one copy when a single
-copy needs more), and moves the state past each copy as it yields it, so
-after t copies the state is where t ``shuffle`` calls leave it.  No other
-draw may come from the generator while the copies are being consumed.
+The shuffled copies come in blocks: ``_shuffled_blocks(items, times)``
+draws the Fisher--Yates indices of as many copies as fit in one chunk of
+at most _SHUFFLE_CHUNK = 2^17 outputs (one copy when a single copy needs
+more; 200 copies of up to 656 items fit one chunk, 1 MiB of outputs), and
+yields them as one (copies, n) array, shuffled column by column: the swap
+of position i is made in every copy at once.  It moves the state past the
+block as it yields it, so after t copies the state is where t ``shuffle``
+calls leave it.  ``shuffled_copies`` yields the rows of those blocks as
+lists and moves the state past each copy as it yields it.  No other draw
+may come from the generator while the copies are being consumed.
 
 Seed derivation for independent experiment cells is also fixed here:
 ``derive_seed(base, k1, k2, ...)`` folds each key into the state with the
@@ -64,8 +69,8 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # pairs per unit_disk_block chunk at most: bounds its scratch arrays
 _DISK_CHUNK = 1 << 16
-# outputs per shuffled_copies chunk at most: bounds its index arrays
-_SHUFFLE_CHUNK = 1 << 14
+# outputs per _shuffled_blocks chunk at most: bounds its index arrays
+_SHUFFLE_CHUNK = 1 << 17
 # the stream's constants as uint64 scalars, converted once, not per block
 _U_GOLDEN = np.uint64(_GOLDEN)
 _U_M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -100,12 +105,6 @@ def _outputs(state: int, n: int) -> np.ndarray:
 def _floats(u: np.ndarray) -> np.ndarray:
     """random() of each output: the top 53 bits times 2^-53 (exact)."""
     return (u >> _U11) * 2.0 ** -53
-
-
-def _fisher_yates(items: list, js) -> None:
-    """Swap items[i] with items[j_i] for i = n-1 .. 1, js in that order."""
-    for i, j in zip(range(len(items) - 1, 0, -1), js):
-        items[i], items[j] = items[j], items[i]
 
 
 def derive_seed(base: int, *keys: int) -> int:
@@ -163,25 +162,48 @@ class SplitMix64:
             return
         # j_i = randrange(i + 1) for i = n-1 .. 1, drawn as one block
         js = self.u64_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
-        _fisher_yates(items, js.tolist())
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+            items[i], items[j] = items[j], items[i]
 
-    def shuffled_copies(self, items, times: int):
-        """Yield `times` shuffled copies of items: each the list a fresh
-        copy would be after one shuffle() call, the calls in sequence."""
-        items = list(items)
+    def _shuffled_blocks(self, items, times: int):
+        """Yield `times` shuffled copies of items, a sequence of ints, as
+        (copies, n) int64 arrays of at most _SHUFFLE_CHUNK draws each: row
+        t is the list a fresh copy would be after one shuffle() call, the
+        calls in sequence.  Fisher--Yates runs column by column, position
+        i swapped with j_i in every row at once, and the state moves past
+        a block as it is yielded."""
+        items = np.asarray(items, dtype=np.int64)
         n = len(items)
         draws = max(n - 1, 0)
         per_chunk = max(1, _SHUFFLE_CHUNK // max(draws, 1))
         moduli = np.arange(n, 1, -1, dtype=np.uint64)
         for start in range(0, times, per_chunk):
             copies = min(per_chunk, times - start)
-            # row t: the j_i of copy t, drawn without moving the state
-            js = _outputs(self.state, copies * draws).reshape(copies, draws)
-            for row in (js % moduli).tolist():
+            js = (_outputs(self.state, copies * draws).reshape(copies, draws)
+                  % moduli).astype(np.intp)
+            # copies side by side: position i of copy t is out[i, t], and
+            # row c of at holds the flat index of j_i, i = n-1-c, in each
+            out = np.repeat(items[:, None], copies, axis=1)
+            flat = out.reshape(-1)
+            at = js.T * copies + np.arange(copies)
+            for i, j in zip(range(n - 1, 0, -1), at):
+                top = out[i].copy()
+                out[i] = flat[j]
+                flat[j] = top
+            self._advance(copies * draws)
+            yield out.T
+
+    def shuffled_copies(self, items, times: int):
+        """Yield `times` shuffled copies of items: each the list a fresh
+        copy would be after one shuffle() call, the calls in sequence."""
+        items = list(items)
+        draws = max(len(items) - 1, 0)
+        for block in self._shuffled_blocks(range(len(items)), times):
+            # back to the block's start, to move past one copy at a time
+            self._advance(-len(block) * draws)
+            for row in block.tolist():
                 self._advance(draws)
-                order = items[:]
-                _fisher_yates(order, row)
-                yield order
+                yield [items[i] for i in row]
 
     def unit_disk(self) -> complex:
         """Uniform complex sample from the closed unit disk (rejection)."""

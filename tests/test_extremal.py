@@ -14,9 +14,12 @@ and the search with it against the search without it.  The search reads
 closing tables; an in-file edge-scan branch and bound over incidence lists
 built here from hg.edges is its oracle, node for node.  The greedy pass is
 checked against its definition (an edge scan per vertex) on shuffled
-orders.  The closing tables, packed as uint64 words, are checked against
-that definition at the 64-bit word seams and for their peak memory
-(tracemalloc), and pinned searches must reproduce their recorded results.
+orders, and so is the batch that runs every pass at once, pass by pass
+beside the greedy pass; r_lower_random is checked against one shuffle()
+and one greedy pass per order, across block boundaries.  The closing
+tables, packed as uint64 words, are checked against that definition at the
+64-bit word seams and for their peak memory (tracemalloc), and pinned
+searches must reproduce their recorded results.
 """
 
 import random
@@ -26,18 +29,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffprog import errors, extremal
+from ffprog import errors, extremal, rng as rng_module
 from ffprog.counting import count_progressions, poly_index_table
 from ffprog.errors import (BudgetExceeded, InsufficientData, InvalidRange,
                            TwistedSystem)
 from ffprog.extremal import (ExtremalResult, ProgressionHypergraph,
-                             _closing_tables, _dilation_invariant,
-                             _distinct_rows, _fixed_at_root, _greedy_mask,
+                             _closing_tables, _closing_words,
+                             _dilation_invariant, _distinct_rows,
+                             _fixed_at_root, _greedy_batch, _greedy_mask,
                              _invariant, _row_keys, _translation_invariant,
                              build_hypergraph, gamma_fit, r_exact,
                              r_lower_random)
 from ffprog.field import _translates, make_field
 from ffprog.polys import progression_system, reduce_and_eval
+from ffprog.rng import SplitMix64
 
 
 # -- oracle ------------------------------------------------------------------
@@ -956,6 +961,109 @@ def test_greedy_mask_matches_edge_scan(p, k, polys, policy, y_rule):
         got = _greedy_mask(order, tables, usable)
         assert got == scan_greedy(order, edges_of, usable)
         assert is_independent([v for v in order if got >> v & 1], hg.edges)
+
+
+# the hypergraphs of test_greedy_mask_matches_edge_scan but its one with a
+# wide tier ((y, y^2, y^3) at p = 13), which the batch does not serve, and
+# (y, y^2) at one word per mask (q = 61, 64) and at two and three (q = 67,
+# 128, 131)
+BATCH_CASES = [
+    (31, 1, ("y", "y^2"), "paper_literal", "nonzero"),
+    (31, 1, ("y", "y^2"), "distinct_points", "nonzero"),
+    (37, 1, ("y", "2y"), "paper_literal", "nonzero"),
+    (7, 1, ("y", "2y"), "paper_literal", "all"),  # every vertex unusable
+    (5, 2, ("y", "y^2"), "paper_literal", "nonzero"),
+    (3, 3, ("y", "2y"), "distinct_points", "nonzero"),
+    (2, 6, ("y", "y^2"), "paper_literal", "nonzero"),
+    (61, 1, ("y", "y^2"), "paper_literal", "nonzero"),
+    (2, 6, ("y", "y^2"), "distinct_points", "nonzero"),
+    (67, 1, ("y", "y^2"), "paper_literal", "nonzero"),
+    (2, 7, ("y", "y^2"), "paper_literal", "nonzero"),
+    (131, 1, ("y", "y^2"), "distinct_points", "nonzero"),
+]
+
+
+@pytest.mark.parametrize("p,k,polys,policy,y_rule", BATCH_CASES)
+def test_greedy_batch_matches_greedy_mask_and_edge_scan(p, k, polys, policy,
+                                                        y_rule):
+    hg = build_hypergraph(progression_system(list(polys)), make_field(p, k),
+                          y_rule=y_rule, degeneracy=policy)
+    (words, wide), usable = _closing_words(hg)
+    assert wide is None
+    tables, _ = _closing_tables(hg)
+    edges_of, _ = incidence(hg)
+    vertices = [v for v in range(hg.q) if usable >> v & 1]
+    rng = random.Random(p ** k + 1)
+    orders = [vertices[:]]
+    for _ in range(30):
+        orders.append(vertices[:])
+        rng.shuffle(orders[-1])
+    taken = _greedy_batch(np.array(orders, dtype=np.int64).reshape(31, -1),
+                          words)
+    assert taken.shape == (31, hg.q)
+    for order, row in zip(orders, taken.tolist()):
+        members = [v for v in row if v < hg.q]
+        assert row[len(members):] == [hg.q] * (hg.q - len(members))
+        got = sum(1 << v for v in members)
+        assert len(members) == got.bit_count()
+        assert got == _greedy_mask(order, tables, usable)
+        assert got == scan_greedy(order, edges_of, usable)
+        # the members in the order taken: the order's own order
+        assert members == [v for v in order if got >> v & 1]
+
+
+def random_by_shuffles(hg, iters, seed):
+    """r_lower_random's (r, witness, attempts) by its definition: one
+    shuffle() of a fresh copy of the usable vertices per pass, each pass
+    run by _greedy_mask, the first pass of largest size kept."""
+    tables, usable = _closing_tables(hg)
+    vertices = [v for v in range(hg.q) if usable >> v & 1]
+    gen = SplitMix64(seed)
+    best = 0
+    for _ in range(iters):
+        order = vertices[:]
+        gen.shuffle(order)
+        cur = _greedy_mask(order, tables, usable)
+        if cur.bit_count() > best.bit_count():
+            best = cur
+    witness = tuple(v for v in range(hg.q) if best >> v & 1)
+    return best.bit_count(), witness, iters * len(vertices)
+
+
+@pytest.mark.parametrize("chunk", [1, 100, 1000, 1 << 17])
+@pytest.mark.parametrize("p,k,polys,policy", [
+    (31, 1, ("y", "y^2"), "paper_literal"),
+    (37, 1, ("y", "2y"), "paper_literal"),
+    (67, 1, ("y", "y^2"), "distinct_points"),
+    (3, 3, ("y", "y^2"), "paper_literal"),
+    (13, 1, ("y", "y^2", "y^3"), "paper_literal"),   # the wide-tier route
+])
+def test_r_lower_random_matches_per_order_loop_across_blocks(
+        p, k, polys, policy, chunk, monkeypatch):
+    # small chunks split the passes into blocks of one or a few orders,
+    # so the best-so-far is carried across block boundaries, ties included
+    hg = build_hypergraph(progression_system(list(polys)), make_field(p, k),
+                          degeneracy=policy)
+    want = random_by_shuffles(hg, 45, seed=11)
+    monkeypatch.setattr(rng_module, "_SHUFFLE_CHUNK", chunk)
+    res = r_lower_random(hg, 45, seed=11)
+    assert (res.r, res.witness_indices, res.nodes_explored) == want
+
+
+def test_r_lower_random_with_every_vertex_dead():
+    # y^3 - y vanishes on all of F_3: every (x, y) gives the edge {x}, so
+    # there are no orders' vertices to rank
+    hg = build_hypergraph(progression_system(["y^3-y"]), make_field(3))
+    assert hg.edges == ((0,), (1,), (2,))
+    res = r_lower_random(hg, 7, seed=2)
+    assert (res.r, res.witness_indices, res.nodes_explored) == (0, (), 0)
+
+
+def test_r_lower_random_without_edges_takes_every_vertex():
+    hg = ProgressionHypergraph(make_field(7), (), "nonzero", "paper_literal")
+    res = r_lower_random(hg, 9, seed=2)
+    assert (res.r, res.witness_indices, res.nodes_explored) == \
+        (7, tuple(range(7)), 7 * 9)
 
 
 # -- exponent fits -----------------------------------------------------------------

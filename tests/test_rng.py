@@ -280,6 +280,32 @@ def test_shuffled_copies_draw_bounded_chunks(monkeypatch):
     assert gen.state == ref.state
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, n=st.integers(0, 40), times=st.integers(0, 12),
+       chunk=st.sampled_from([1, 5, 40, 1 << 17]))
+def test_shuffled_blocks_equal_repeated_shuffles(seed, n, times, chunk):
+    # each block holds chunk // (n - 1) copies (one when n - 1 is larger),
+    # its rows the shuffles in sequence; after a block the state is where
+    # that many shuffle() calls leave it
+    gen, ref = SplitMix64(seed), ScalarOracle(seed)
+    items = [3 * i + 1 for i in range(n)]
+    rows = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "_SHUFFLE_CHUNK", chunk)
+        for block in gen._shuffled_blocks(items, times):
+            assert block.dtype == np.int64
+            assert block.shape == (
+                min(max(1, chunk // max(n - 1, 1)), times - rows), n)
+            for got in block.tolist():
+                want = items[:]
+                ref.shuffle(want)
+                assert got == want
+            rows += len(block)
+            assert gen.state == ref.state
+    assert rows == times
+    assert gen.next_u64() == ref.u64()
+
+
 def test_block_of_negative_length_is_refused():
     gen = SplitMix64(3)
     with pytest.raises(ValueError):
